@@ -95,7 +95,9 @@ func scalingGrid(o Options) *scenario.Grid {
 // and the number of local bus segments swept via the dotted topology
 // stanza (boards_per_bus normalizes to an even spread). buses=1 is the
 // classic single shared VMEbus far past its Section 5.3 saturation
-// point — the case the hierarchy exists to fix.
+// point — the case the hierarchy exists to fix. The boards share the
+// kernel region: a private region per board fits only 17 boards (see
+// Spec.Normalize); AblationTopology slices the kernel region itself.
 func topologyGrid(o Options) *scenario.Grid {
 	refsPer := 12_000
 	buses := scenario.Values(1, 2, 4, 8, 16)
@@ -111,7 +113,7 @@ func topologyGrid(o Options) *scenario.Grid {
 		Name: "topology",
 		Base: scenario.Spec{
 			Machine:  m,
-			Workload: scenario.WorkloadSpec{Kind: scenario.WorkloadProfile, Profile: "edit", Refs: refsPer},
+			Workload: scenario.WorkloadSpec{Kind: scenario.WorkloadProfile, Profile: "edit", Refs: refsPer, ShareKernel: true},
 		},
 		Axes: []scenario.Axis{
 			{Path: "topology.buses", Values: buses},

@@ -31,6 +31,7 @@ import (
 	"vmp/internal/obs"
 	"vmp/internal/protocol"
 	"vmp/internal/sim"
+	"vmp/internal/vm"
 	"vmp/internal/workload"
 )
 
@@ -297,6 +298,15 @@ func (s *Spec) Normalize() error {
 				return fmt.Errorf("scenario: %d processors x %d tasks exceeds the 254 usable ASIDs", m.Processors, sc.Tasks)
 			}
 		}
+	}
+
+	// Without share_kernel, board i's kernel region moves up by i<<24
+	// (boardRefs); past maxPrivateKernelBoards boards the last kernel
+	// stack reaches the page-table space and the run faults.
+	const maxPrivateKernelBoards = int((vm.PTSpaceBase-workload.KernelStackTop)>>24) + 1
+	if !w.ShareKernel && (w.Kind == WorkloadProfile || w.Kind == WorkloadTrace) && m.Processors > maxPrivateKernelBoards {
+		return fmt.Errorf("scenario: %d processors with a private kernel region each; at most %d fit below the page-table space (set workload.share_kernel)",
+			m.Processors, maxPrivateKernelBoards)
 	}
 
 	// Canonicalize the protocol: the default protocol is spelled "" so

@@ -243,6 +243,7 @@ func TestNormalizeRejections(t *testing.T) {
 			Kernel:  &KernelSpec{Sched: &SchedSpec{Tasks: 8}},
 		}, "usable ASIDs"},
 		{"bad fault plan", Spec{Faults: "abort=yes"}, "fault"},
+		{"private kernel past 17 boards", Spec{Machine: MachineSpec{Processors: 18}}, "share_kernel"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -254,6 +255,24 @@ func TestNormalizeRejections(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestPrivateKernelBoardBound pins the edge of the private-kernel
+// bound: board i's kernel region sits i<<24 above the first, so 17
+// boards run with every kernel stack below the page-table space, and
+// an 18th board needs share_kernel.
+func TestPrivateKernelBoardBound(t *testing.T) {
+	res, err := Run(Spec{Machine: MachineSpec{Processors: 17, CacheSize: 16 << 10}, Workload: WorkloadSpec{Refs: 2000}})
+	if err != nil {
+		t.Fatalf("17 boards with private kernel regions: %v", err)
+	}
+	if len(res.Violations) != 0 {
+		t.Errorf("violations: %v", res.Violations)
+	}
+	shared := Spec{Machine: MachineSpec{Processors: 18}, Workload: WorkloadSpec{ShareKernel: true}}
+	if err := shared.Normalize(); err != nil {
+		t.Errorf("18 boards sharing the kernel region rejected: %v", err)
 	}
 }
 

@@ -80,7 +80,7 @@ func TestTopologyFingerprintCompat(t *testing.T) {
 func TestTopologyValidation(t *testing.T) {
 	bad := []Spec{
 		// More boards than the inclusion filter's 64-bit presence mask.
-		{Machine: MachineSpec{Processors: 80}, Topology: &TopologySpec{Buses: 4}},
+		{Machine: MachineSpec{Processors: 80}, Workload: WorkloadSpec{ShareKernel: true}, Topology: &TopologySpec{Buses: 4}},
 		// Too few seats for the board count.
 		{Machine: MachineSpec{Processors: 8}, Topology: &TopologySpec{Buses: 2, BoardsPerBus: 2}},
 	}
