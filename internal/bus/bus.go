@@ -1,6 +1,9 @@
-// Package bus models the shared VMEbus: single-master arbitration,
-// block-transfer timing, the overlapped consistency-check and
-// action-table-update windows of Figure 2, and abort semantics.
+// Package bus models the machine's interconnect: the shared VMEbus of
+// the paper — single-master arbitration, block-transfer timing, the
+// overlapped consistency-check and action-table-update windows of
+// Figure 2, and abort semantics — and its VMP-MC generalization to
+// local bus segments joined by an inter-bus link. Hierarchy implements
+// both; the single VMEbus is its one-segment case.
 //
 // The bus carries the six consistency-related transaction types of the
 // VMP protocol plus plain (DMA/device) word and block transfers that bus
@@ -13,13 +16,9 @@
 package bus
 
 import (
-	"fmt"
-
 	"vmp/internal/busop"
-	"vmp/internal/obs"
 	"vmp/internal/protocol"
 	"vmp/internal/sim"
-	"vmp/internal/stats"
 )
 
 // Op is a bus transaction type. It is an alias for busop.Op, the shared
@@ -176,222 +175,3 @@ type Stats struct {
 
 // numOps is the number of distinct transaction types.
 const numOps = int(busop.NumOps)
-
-// Bus is the shared VMEbus. Create with New. All counters live in the
-// engine's per-run stats.Recorder under "bus/..." names, so a run's
-// metrics are collected in one sink instead of scattered per component.
-type Bus struct {
-	eng      *sim.Engine
-	rec      *stats.Recorder
-	timing   Timing
-	sem      *sim.Semaphore
-	snoopers []Snooper
-	inj      Injector
-	observer func(Transaction, Result)
-	sink     *obs.Sink
-
-	tx       [numOps]*stats.Counter
-	aborts   *stats.Counter
-	xferErrs *stats.Counter
-	busy     *stats.Counter // occupancy, in sim.Time ns
-	bytes    *stats.Counter
-
-	// perBoard accumulates bus occupancy per requester (DMA under
-	// NoRequester is not tracked here) under "bus/board<i>/busy-ns".
-	perBoard map[int]*stats.Counter
-
-	// intrBuf is the scratch list of monitors that asked to be posted
-	// this transaction, reused across transactions (the bus semaphore
-	// serializes Do, so one buffer suffices).
-	intrBuf []Snooper
-}
-
-// New creates a bus on the given engine with default timing, registering
-// its counters in the engine's recorder.
-func New(eng *sim.Engine) *Bus {
-	rec := eng.Recorder()
-	b := &Bus{
-		eng:      eng,
-		rec:      rec,
-		timing:   DefaultTiming(),
-		sem:      sim.NewSemaphore(1),
-		aborts:   rec.Counter("bus/aborts"),
-		xferErrs: rec.Counter("bus/transfer-errors"),
-		busy:     rec.Counter("bus/busy-ns"),
-		bytes:    rec.Counter("bus/bytes-moved"),
-		perBoard: make(map[int]*stats.Counter),
-	}
-	for op := 0; op < numOps; op++ {
-		b.tx[op] = rec.Counter("bus/tx/" + Op(op).String())
-	}
-	return b
-}
-
-// SetInjector attaches a fault injector consulted on every transaction
-// (nil detaches).
-func (b *Bus) SetInjector(inj Injector) { b.inj = inj }
-
-// SetSink attaches the observability sink; every transaction then emits
-// one KindBus event (nil detaches, costing one branch per transaction).
-func (b *Bus) SetSink(s *obs.Sink) { b.sink = s }
-
-// SetObserver registers fn to be called after every transaction's
-// effects are applied, while the bus is still held. The fault layer uses
-// it for post-transaction table corruption and the invariant watchdog
-// for shadow-state tracking; observing must not issue bus transactions.
-func (b *Bus) SetObserver(fn func(Transaction, Result)) { b.observer = fn }
-
-// SetTiming overrides the timing constants (before simulation starts).
-func (b *Bus) SetTiming(t Timing) { b.timing = t }
-
-// Timing returns the timing constants.
-func (b *Bus) Timing() Timing { return b.timing }
-
-// Attach registers a bus monitor. All monitors see all transactions.
-func (b *Bus) Attach(s Snooper) { b.snoopers = append(b.snoopers, s) }
-
-// Stats returns a copy of the counters. Only transaction types that
-// occurred appear in the map.
-func (b *Bus) Stats() Stats {
-	cp := Stats{
-		Aborts:       uint64(b.aborts.Value()),
-		BusyTime:     sim.Time(b.busy.Value()),
-		BytesMoved:   uint64(b.bytes.Value()),
-		Transactions: make(map[Op]uint64),
-	}
-	for op := 0; op < numOps; op++ {
-		if v := b.tx[op].Value(); v > 0 {
-			cp.Transactions[Op(op)] = uint64(v)
-		}
-	}
-	return cp
-}
-
-// BoardBusyTime returns the accumulated bus occupancy charged to a
-// board, reconstructed from the per-run metrics sink.
-func (b *Bus) BoardBusyTime(id int) sim.Time {
-	if c, ok := b.perBoard[id]; ok {
-		return sim.Time(c.Value())
-	}
-	return 0
-}
-
-// boardBusy returns (creating on first use) the occupancy counter for a
-// board.
-func (b *Bus) boardBusy(id int) *stats.Counter {
-	c, ok := b.perBoard[id]
-	if !ok {
-		c = b.rec.Counter(fmt.Sprintf("bus/board%d/busy-ns", id))
-		b.perBoard[id] = c
-	}
-	return c
-}
-
-// Utilization returns total bus occupancy divided by elapsed simulated
-// time.
-func (b *Bus) Utilization() float64 {
-	if b.eng.Now() == 0 {
-		return 0
-	}
-	return float64(b.busy.Value()) / float64(b.eng.Now())
-}
-
-// Do performs one bus transaction on behalf of process p, blocking p
-// for the arbitration and transfer time. Monitors are consulted during
-// the check window; an abort terminates the transaction early. The
-// requester's own monitor action table is updated as a side effect of a
-// successful consistency-related transaction.
-//
-//vmplint:hotpath
-func (b *Bus) Do(p *sim.Process, tx Transaction) Result {
-	b.sem.Acquire(p)
-	defer b.sem.Release()
-
-	var res Result
-	if tx.Op.ConsistencyRelated() {
-		// Check window: gather every monitor's decision first (the
-		// hardware monitors decide in parallel from table state at the
-		// start of the window), then apply effects.
-		b.intrBuf = b.intrBuf[:0]
-		for _, s := range b.snoopers {
-			r := s.Check(tx)
-			if r.Abort {
-				res.Aborted = true
-			}
-			if r.Seen {
-				res.SharedSeen = true
-			}
-			if r.Interrupt {
-				b.intrBuf = append(b.intrBuf, s) //vmplint:allow hotalloc reused scratch buffer reaches snooper-count capacity once; the bus/transaction micro pins 0 allocs/op
-			}
-		}
-		for _, s := range b.intrBuf {
-			s.Post(tx)
-		}
-	}
-
-	// Fault layer: an otherwise-successful transaction may be spuriously
-	// aborted (the requester sees an ordinary conflict and retries) or,
-	// for block transfers, fail mid-stream with a transfer error. DMA
-	// transactions are exempt: they have no retry path.
-	if b.inj != nil && !res.Aborted && tx.Requester != NoRequester {
-		if tx.Op.ConsistencyRelated() && b.inj.AbortTransient(tx.Op) {
-			res.Aborted = true
-			res.SpuriousAbort = true
-		} else if tx.Op.Transfers() && tx.Bytes > 0 && b.inj.TransferError(tx.Op) {
-			res.TransferErr = true
-		}
-	}
-
-	var busy sim.Time
-	switch {
-	case res.Aborted:
-		busy = b.timing.AbortTime()
-		b.aborts.Inc()
-	case res.TransferErr:
-		// A failed transfer terminates like an abort — at the end of the
-		// memory reference in flight — with no table update and no data
-		// moved.
-		busy = b.timing.AbortTime()
-		b.xferErrs.Inc()
-	default:
-		busy = b.timing.TransferTime(tx.Op, tx.Bytes)
-		b.bytes.Add(int64(tx.Bytes))
-		if tx.Requester != NoRequester && (tx.Op.ConsistencyRelated() || tx.Op == WriteActionTable) {
-			for _, s := range b.snoopers {
-				if s.BoardID() == tx.Requester {
-					s.UpdateFromOwn(tx, res)
-				}
-			}
-		}
-	}
-	b.tx[tx.Op].Inc()
-	b.busy.Add(int64(busy))
-	if tx.Requester != NoRequester {
-		b.boardBusy(tx.Requester).Add(int64(busy))
-	}
-	if b.sink != nil {
-		var fl uint8
-		if tx.Op.ConsistencyRelated() {
-			fl |= obs.FlagConsistency
-		}
-		if res.Aborted {
-			fl |= obs.FlagAborted
-		}
-		if res.SpuriousAbort {
-			fl |= obs.FlagSpurious
-		}
-		if res.TransferErr {
-			fl |= obs.FlagTransferErr
-		}
-		b.sink.Emit(obs.Event{
-			Time: b.eng.Now(), Dur: busy, PAddr: tx.PAddr,
-			Board: int16(tx.Requester), Kind: obs.KindBus, Arg: uint8(tx.Op), Flags: fl,
-		})
-	}
-	if b.observer != nil {
-		b.observer(tx, res)
-	}
-	p.Delay(busy)
-	return res
-}

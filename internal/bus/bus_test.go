@@ -1,8 +1,11 @@
 package bus
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"vmp/internal/obs"
 	"vmp/internal/protocol"
 	"vmp/internal/sim"
 )
@@ -76,6 +79,8 @@ func TestOpClassification(t *testing.T) {
 func TestDoOccupiesBus(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng)
+	sink := obs.NewSink(obs.Config{Stream: true}, eng.Now)
+	b.SetSink(sink)
 	var end sim.Time
 	eng.Spawn("cpu", func(p *sim.Process) {
 		res := b.Do(p, Transaction{Op: ReadShared, PAddr: 0, Bytes: 256, Requester: 0})
@@ -92,6 +97,11 @@ func TestDoOccupiesBus(t *testing.T) {
 	st := b.Stats()
 	if st.BusyTime != want || st.Transactions[ReadShared] != 1 || st.BytesMoved != 256 {
 		t.Errorf("stats %+v", st)
+	}
+	// One bus tags its events 0 in the ASID byte, the encoding
+	// single-bus event streams and their digests have always had.
+	if evs := sink.Stream(); len(evs) != 1 || evs[0].Kind != obs.KindBus || evs[0].ASID != 0 {
+		t.Errorf("events %+v, want one bus event tagged 0", evs)
 	}
 }
 
@@ -116,6 +126,48 @@ func TestBusSerializesRequesters(t *testing.T) {
 	}
 	if got := b.Stats().BusyTime; got != 3*per {
 		t.Errorf("busy time %v, want %v", got, 3*per)
+	}
+}
+
+// TestSingleBusHasNoDirectory pins that one bus queues every
+// transaction on its arbiter in arrival order. A frame directory's
+// busy-bit poll would let requester 3 (another frame) overtake
+// requester 2, which waits for the frame requester 1 holds; it would
+// also put frames on record and move the link counters. Board IDs past
+// the hierarchy's 64-board filter bound work on one bus.
+func TestSingleBusHasNoDirectory(t *testing.T) {
+	eng := sim.NewEngine()
+	b := New(eng)
+	const first = MaxBoards + 6
+	for id := 0; id < first+4; id++ {
+		b.Attach(&fakeSnooper{id: id})
+	}
+	txs := []Transaction{
+		{Op: PlainWrite, PAddr: 0x8000, Bytes: 256, Requester: first},
+		{Op: ReadShared, PAddr: 0x1000, Bytes: 256, Requester: first + 1},
+		{Op: ReadShared, PAddr: 0x1000, Bytes: 256, Requester: first + 2},
+		{Op: ReadShared, PAddr: 0x2000, Bytes: 256, Requester: first + 3},
+	}
+	var order []int
+	for i, tx := range txs {
+		i, tx := i, tx
+		eng.Spawn("cpu", func(p *sim.Process) {
+			b.Do(p, tx)
+			order = append(order, i)
+		})
+	}
+	eng.Run()
+	if got := fmt.Sprint(order); got != "[0 1 2 3]" {
+		t.Errorf("completion order %s, want arrival order [0 1 2 3]", got)
+	}
+	if ls := b.LinkStats(); ls != (LinkStats{}) {
+		t.Errorf("link stats %+v, want all zero", ls)
+	}
+	if b.Presence(0x1000) != 0 {
+		t.Error("a single bus put a frame on record")
+	}
+	if b.BoardBusyTime(first+3) == 0 {
+		t.Errorf("board %d was charged no bus time", first+3)
 	}
 }
 
@@ -233,6 +285,14 @@ func TestUtilizationAndPerBoard(t *testing.T) {
 	}
 	if got := b.BoardBusyTime(7); got != 0 {
 		t.Errorf("untouched board busy %v", got)
+	}
+	// One bus registers no per-segment counter: bus/seg0/busy-ns would
+	// only repeat bus/busy-ns, and vmpsim -metrics prints every non-zero
+	// counter.
+	for _, m := range eng.Recorder().Snapshot() {
+		if strings.HasPrefix(m.Name, "bus/seg") {
+			t.Errorf("single bus registered %s", m.Name)
+		}
 	}
 }
 

@@ -9,13 +9,20 @@ import (
 	"vmp/internal/stats"
 )
 
-// Hierarchy is the multi-bus interconnect, in the spirit of Cheriton's
+// Hierarchy is the machine's interconnect, in the spirit of Cheriton's
 // VMP-MC follow-up: boards are grouped onto local bus segments, and the
 // segments are joined by a single inter-bus link that carries only
 // consistency actions. Main memory is multi-ported with a bank port on
 // every segment, so data transfers (page fills, write-backs, DMA) run
 // entirely on the requester's local bus at the ordinary VMEbus timing —
 // monitors and copiers keep their exact single-bus behaviour.
+//
+// The paper's shared VMEbus is the one-segment case (New). It has no
+// link and no frame directory: its one arbiter already serializes every
+// transaction, and with it every frame, so a directory would only add
+// work — and its busy-bit poll would let a waiter re-request a frame
+// behind later arrivals instead of keeping its place in the arbiter's
+// FIFO queue.
 //
 // What crosses the link is the consistency-check broadcast, and only
 // when it must: a per-page-frame inclusion filter (a coarse directory
@@ -40,6 +47,9 @@ import (
 // Transactions on different frames proceed concurrently across
 // segments; the deadlock-free lock order is frame busy bit, then link,
 // then one segment semaphore at a time.
+//
+// All counters live in the engine's per-run stats.Recorder under
+// "bus/..." names, so a run's metrics are collected in one sink.
 type Hierarchy struct {
 	eng      *sim.Engine
 	rec      *stats.Recorder
@@ -48,6 +58,7 @@ type Hierarchy struct {
 	pageSize int
 
 	segs []*segment
+	// link is the inter-bus link's arbiter; nil on a single bus.
 	link *sim.Semaphore
 
 	inj      Injector
@@ -55,8 +66,8 @@ type Hierarchy struct {
 	sink     *obs.Sink
 
 	// dir is the inclusion filter plus busy bit, per page frame,
-	// created on first touch. Accessed by key only (never iterated), so
-	// no map-order dependence can arise.
+	// created on first touch; nil on a single bus. Accessed by key only
+	// (never iterated), so no map-order dependence can arise.
 	dir map[uint32]*dirEntry
 	// boardSnoop finds the requester's own monitor for the table
 	// update and the filter read-back.
@@ -72,7 +83,9 @@ type Hierarchy struct {
 	linkAbort *stats.Counter
 	filtered  *stats.Counter // consistency transactions kept local by the filter
 	waits     *stats.Counter // busy-frame arbitration waits
-	perBoard  map[int]*stats.Counter
+	// perBoard accumulates occupancy per requester (DMA under
+	// NoRequester is not tracked) under "bus/board<i>/busy-ns".
+	perBoard map[int]*stats.Counter
 }
 
 // segment is one local bus: its own arbiter (semaphore), its own
@@ -80,7 +93,13 @@ type Hierarchy struct {
 type segment struct {
 	sem      *sim.Semaphore
 	snoopers []Snooper
-	busy     *stats.Counter
+	// busy is the segment's occupancy; nil on a single bus, where it
+	// would only repeat bus/busy-ns.
+	busy *stats.Counter
+	// tag marks the segment's trace events in their ASID byte: 1+index
+	// on a hierarchy, 0 on a single bus, the encoding single-bus event
+	// streams have always had.
+	tag uint8
 	// intrBuf is the scratch list of monitors to post, reused across
 	// transactions; it is touched only under the segment semaphore.
 	intrBuf []Snooper
@@ -104,9 +123,14 @@ type ActionReader interface {
 	Action(paddr uint32) protocol.Action
 }
 
-// NewHierarchy creates a multi-bus interconnect on the engine with
-// default timing. pageSize is the machine's cache-page frame size (the
-// directory's granularity). The topology must already be validated.
+// New creates the paper's single shared VMEbus on the engine with
+// default timing: the one-segment interconnect.
+func New(eng *sim.Engine) *Hierarchy { return NewHierarchy(eng, Topology{}, 0) }
+
+// NewHierarchy creates the interconnect for a topology on the engine
+// with default timing. pageSize is the machine's cache-page frame size
+// (the directory's granularity; a single bus has no directory). The
+// topology must already be validated.
 func NewHierarchy(eng *sim.Engine, topo Topology, pageSize int) *Hierarchy {
 	rec := eng.Recorder()
 	h := &Hierarchy{
@@ -115,8 +139,6 @@ func NewHierarchy(eng *sim.Engine, topo Topology, pageSize int) *Hierarchy {
 		timing:     DefaultTiming(),
 		topo:       topo,
 		pageSize:   pageSize,
-		link:       sim.NewSemaphore(1),
-		dir:        make(map[uint32]*dirEntry),
 		boardSnoop: make(map[int]Snooper),
 		aborts:     rec.Counter("bus/aborts"),
 		xferErrs:   rec.Counter("bus/transfer-errors"),
@@ -132,38 +154,45 @@ func NewHierarchy(eng *sim.Engine, topo Topology, pageSize int) *Hierarchy {
 	for op := 0; op < numOps; op++ {
 		h.tx[op] = rec.Counter("bus/tx/" + Op(op).String())
 	}
+	if topo.SingleBus() {
+		h.segs = []*segment{{sem: sim.NewSemaphore(1)}}
+		return h
+	}
+	h.link = sim.NewSemaphore(1)
+	h.dir = make(map[uint32]*dirEntry)
 	for i := 0; i < topo.Buses; i++ {
 		h.segs = append(h.segs, &segment{
 			sem:  sim.NewSemaphore(1),
 			busy: rec.Counter(fmt.Sprintf("bus/seg%d/busy-ns", i)),
+			tag:  uint8(1 + i),
 		})
 	}
 	return h
 }
 
-// SetInjector implements Interconnect. The same injector serves both
-// the per-segment transaction faults and the link-level transient
-// aborts, so one seeded fault plan covers the whole interconnect.
+// SetInjector attaches a fault injector consulted on every transaction
+// (nil detaches). The same injector serves both the per-segment
+// transaction faults and the link-level transient aborts, so one seeded
+// fault plan covers the whole interconnect.
 func (h *Hierarchy) SetInjector(inj Injector) { h.inj = inj }
 
-// SetSink implements Interconnect.
+// SetSink attaches the observability sink; every transaction then emits
+// its trace events (nil detaches, costing one branch per event).
 func (h *Hierarchy) SetSink(s *obs.Sink) { h.sink = s }
 
-// SetObserver implements Interconnect. The observer runs once per
-// logical transaction with the merged (local + remote) result, while
-// the home segment is still held and the frame is still busy, so the
-// watchdog's shadow sees one serialized stream in commit order exactly
-// as on a single bus.
+// SetObserver registers fn to run once per logical transaction with the
+// merged (local + remote) result, after its effects are applied, while
+// the home segment is still held and the frame is still busy — so the
+// watchdog's shadow sees one serialized stream in commit order. The
+// fault layer uses it for post-transaction table corruption; observing
+// must not issue bus transactions.
 func (h *Hierarchy) SetObserver(fn func(Transaction, Result)) { h.observer = fn }
 
-// SetTiming implements Interconnect.
+// SetTiming overrides the timing constants (before simulation starts).
 func (h *Hierarchy) SetTiming(t Timing) { h.timing = t }
 
 // Timing implements Interconnect.
 func (h *Hierarchy) Timing() Timing { return h.timing }
-
-// Topology returns the interconnect shape.
-func (h *Hierarchy) Topology() Topology { return h.topo }
 
 // Attach implements Interconnect, placing the monitor on its board's
 // segment.
@@ -190,7 +219,8 @@ func (h *Hierarchy) Stats() Stats {
 	return cp
 }
 
-// LinkStats reports the inter-bus link counters.
+// LinkStats reports the inter-bus link counters; all zero on a single
+// bus.
 type LinkStats struct {
 	// Crossings is the number of consistency transactions that paid a
 	// link broadcast; FilteredLocal the number the inclusion filter
@@ -217,39 +247,17 @@ func (h *Hierarchy) LinkStats() LinkStats {
 	}
 }
 
-// Segments returns the number of local bus segments.
-func (h *Hierarchy) Segments() int { return len(h.segs) }
-
-// SegmentUtilization returns one segment's occupancy divided by
-// elapsed simulated time.
-func (h *Hierarchy) SegmentUtilization(i int) float64 {
-	if h.eng.Now() == 0 || i < 0 || i >= len(h.segs) {
-		return 0
-	}
-	return float64(h.segs[i].busy.Value()) / float64(h.eng.Now())
-}
-
-// LinkUtilization returns the link's occupancy divided by elapsed
-// simulated time.
-func (h *Hierarchy) LinkUtilization() float64 {
-	if h.eng.Now() == 0 {
-		return 0
-	}
-	return float64(h.linkBusy.Value()) / float64(h.eng.Now())
-}
-
 // Utilization implements Interconnect: the mean per-segment
-// utilization, comparable to the single bus's figure and to the
-// queuing model's per-bus prediction.
+// utilization, comparable to the queuing model's per-bus prediction.
 func (h *Hierarchy) Utilization() float64 {
-	if h.eng.Now() == 0 || len(h.segs) == 0 {
+	if h.eng.Now() == 0 {
 		return 0
 	}
 	return float64(h.busy.Value()) / (float64(h.eng.Now()) * float64(len(h.segs)))
 }
 
-// BoardBusyTime implements Interconnect: all interconnect occupancy
-// (home segment, remote probes, link packets) charged to a board.
+// BoardBusyTime returns all interconnect occupancy (home segment,
+// remote probes, link packets) charged to a board.
 func (h *Hierarchy) BoardBusyTime(id int) sim.Time {
 	if c, ok := h.perBoard[id]; ok {
 		return sim.Time(c.Value())
@@ -257,6 +265,8 @@ func (h *Hierarchy) BoardBusyTime(id int) sim.Time {
 	return 0
 }
 
+// boardBusy returns (creating on first use) the occupancy counter for a
+// board.
 func (h *Hierarchy) boardBusy(id int) *stats.Counter {
 	c, ok := h.perBoard[id]
 	if !ok {
@@ -280,8 +290,11 @@ func (h *Hierarchy) frameOf(paddr uint32) uint32 { return paddr / uint32(h.pageS
 
 // Presence returns the inclusion filter's board mask for the frame
 // containing paddr (tests and tools; a zero mask means no board may
-// hold the page).
+// hold the page, and a single bus keeps no record).
 func (h *Hierarchy) Presence(paddr uint32) uint64 {
+	if h.dir == nil {
+		return 0
+	}
 	if e, ok := h.dir[h.frameOf(paddr)]; ok {
 		return e.boards
 	}
@@ -317,34 +330,34 @@ func (h *Hierarchy) charge(seg *segment, requester int, d sim.Time) {
 	}
 }
 
-// emit sends one trace event; seg is the 1-based segment tag carried
-// in the event's ASID byte (0 is reserved so single-bus streams, which
-// always carry 0 there, keep their historical encoding).
+// emit sends one trace event; tag is the segment mark carried in the
+// event's ASID byte (see segment.tag; link events carry 0).
 //
 //vmplint:hotpath
-func (h *Hierarchy) emit(kind obs.Kind, tx Transaction, dur sim.Time, seg int, fl uint8) {
+func (h *Hierarchy) emit(kind obs.Kind, tx Transaction, dur sim.Time, tag uint8, fl uint8) {
 	if h.sink == nil {
 		return
 	}
 	h.sink.Emit(obs.Event{
 		Time: h.eng.Now(), Dur: dur, PAddr: tx.PAddr,
-		Board: int16(tx.Requester), ASID: uint8(seg),
+		Board: int16(tx.Requester), ASID: tag,
 		Kind: kind, Arg: uint8(tx.Op), Flags: fl,
 	})
 }
 
-// Do implements Interconnect. Plain (DMA/device) transfers run
-// entirely on the home segment. Consistency transactions and
-// action-table writes first acquire their frame's busy bit; the
-// consistency-check broadcast then crosses the link to every remote
-// segment the inclusion filter implicates, and the transaction itself
-// (transfer timing, table update, fault injection, observer) runs on
-// the home segment with the merged remote reactions folded in.
+// Do implements Interconnect. Plain (DMA/device) transfers, and every
+// transaction on a single bus, run entirely on the home segment. On a
+// hierarchy, consistency transactions and action-table writes first
+// acquire their frame's busy bit; the consistency-check broadcast then
+// crosses the link to every remote segment the inclusion filter
+// implicates, and the transaction itself (transfer timing, table
+// update, fault injection, observer) runs on the home segment with the
+// merged remote reactions folded in.
 //
 //vmplint:hotpath
 func (h *Hierarchy) Do(p *sim.Process, tx Transaction) Result {
 	home := h.topo.SegmentOf(tx.Requester)
-	if !tx.Op.ConsistencyRelated() && tx.Op != WriteActionTable {
+	if h.dir == nil || (!tx.Op.ConsistencyRelated() && tx.Op != WriteActionTable) {
 		return h.commit(p, tx, home, Result{})
 	}
 
@@ -414,24 +427,9 @@ func (h *Hierarchy) crossLink(p *sim.Process, tx Transaction, mask uint64) Resul
 		}
 		seg := h.segs[s]
 		seg.sem.Acquire(p)
-		seg.intrBuf = seg.intrBuf[:0]
-		for _, sn := range seg.snoopers {
-			r := sn.Check(tx)
-			if r.Abort {
-				res.Aborted = true
-			}
-			if r.Seen {
-				res.SharedSeen = true
-			}
-			if r.Interrupt {
-				seg.intrBuf = append(seg.intrBuf, sn) //vmplint:allow hotalloc reused per-segment scratch reaches snooper-count capacity once; the interconnect/cross-link micro pins 0 allocs/op
-			}
-		}
-		for _, sn := range seg.intrBuf {
-			sn.Post(tx)
-		}
+		res = seg.check(tx, res)
 		h.charge(seg, tx.Requester, probe)
-		h.emit(obs.KindBus, tx, probe, 1+s, obs.FlagConsistency)
+		h.emit(obs.KindBus, tx, probe, seg.tag, obs.FlagConsistency)
 		p.Delay(probe)
 		seg.sem.Release()
 	}
@@ -439,11 +437,37 @@ func (h *Hierarchy) crossLink(p *sim.Process, tx Transaction, mask uint64) Resul
 	return res
 }
 
+// check runs the consistency-check window on the segment, whose
+// semaphore the caller holds: every monitor decides from its table
+// state at the start of the window (the hardware monitors decide in
+// parallel), the reactions merge into res, and only then are the
+// interrupt words posted.
+//
+//vmplint:hotpath
+func (seg *segment) check(tx Transaction, res Result) Result {
+	seg.intrBuf = seg.intrBuf[:0]
+	for _, sn := range seg.snoopers {
+		r := sn.Check(tx)
+		if r.Abort {
+			res.Aborted = true
+		}
+		if r.Seen {
+			res.SharedSeen = true
+		}
+		if r.Interrupt {
+			seg.intrBuf = append(seg.intrBuf, sn) //vmplint:allow hotalloc reused per-segment scratch reaches snooper-count capacity once; the bus/transaction, interconnect/local-hit and interconnect/cross-link micros pin 0 allocs/op
+		}
+	}
+	for _, sn := range seg.intrBuf {
+		sn.Post(tx)
+	}
+	return res
+}
+
 // commit runs the transaction on its home segment: the local check
 // window, fault injection, transfer timing, the requester's own table
-// update, counters, tracing and the observer — the reference Bus.Do
-// semantics with the already-gathered remote reactions folded into the
-// abort decision.
+// update, counters, tracing and the observer, with any remote
+// reactions already gathered folded into the abort decision.
 //
 //vmplint:hotpath
 func (h *Hierarchy) commit(p *sim.Process, tx Transaction, home int, res Result) Result {
@@ -452,24 +476,13 @@ func (h *Hierarchy) commit(p *sim.Process, tx Transaction, home int, res Result)
 	defer seg.sem.Release()
 
 	if tx.Op.ConsistencyRelated() {
-		seg.intrBuf = seg.intrBuf[:0]
-		for _, sn := range seg.snoopers {
-			r := sn.Check(tx)
-			if r.Abort {
-				res.Aborted = true
-			}
-			if r.Seen {
-				res.SharedSeen = true
-			}
-			if r.Interrupt {
-				seg.intrBuf = append(seg.intrBuf, sn) //vmplint:allow hotalloc reused per-segment scratch reaches snooper-count capacity once; the interconnect/local-hit micro pins 0 allocs/op
-			}
-		}
-		for _, sn := range seg.intrBuf {
-			sn.Post(tx)
-		}
+		res = seg.check(tx, res)
 	}
 
+	// Fault layer: an otherwise-successful transaction may be spuriously
+	// aborted (the requester sees an ordinary conflict and retries) or,
+	// for block transfers, fail mid-stream with a transfer error. DMA
+	// transactions are exempt: they have no retry path.
 	if h.inj != nil && !res.Aborted && tx.Requester != NoRequester {
 		if tx.Op.ConsistencyRelated() && h.inj.AbortTransient(tx.Op) {
 			res.Aborted = true
@@ -485,6 +498,9 @@ func (h *Hierarchy) commit(p *sim.Process, tx Transaction, home int, res Result)
 		busy = h.timing.AbortTime()
 		h.aborts.Inc()
 	case res.TransferErr:
+		// A failed transfer terminates like an abort — at the end of the
+		// memory reference in flight — with no table update and no data
+		// moved.
 		busy = h.timing.AbortTime()
 		h.xferErrs.Inc()
 	default:
@@ -511,7 +527,7 @@ func (h *Hierarchy) commit(p *sim.Process, tx Transaction, home int, res Result)
 	if res.TransferErr {
 		fl |= obs.FlagTransferErr
 	}
-	h.emit(obs.KindBus, tx, busy, 1+home, fl)
+	h.emit(obs.KindBus, tx, busy, seg.tag, fl)
 	if h.observer != nil {
 		h.observer(tx, res)
 	}

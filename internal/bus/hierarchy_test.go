@@ -3,6 +3,7 @@ package bus
 import (
 	"testing"
 
+	"vmp/internal/obs"
 	"vmp/internal/protocol"
 	"vmp/internal/sim"
 )
@@ -152,6 +153,8 @@ func TestFilterFalsePositiveAllowed(t *testing.T) {
 // occupies its home segment.
 func TestHierarchyLocalPlainOps(t *testing.T) {
 	eng, h := newTestHierarchy(Topology{Buses: 2, BoardsPerBus: 1})
+	sink := obs.NewSink(obs.Config{Stream: true}, eng.Now)
+	h.SetSink(sink)
 	a := &fakeSnooper{id: 0}
 	b := &fakeSnooper{id: 1}
 	h.Attach(a)
@@ -167,17 +170,22 @@ func TestHierarchyLocalPlainOps(t *testing.T) {
 	if h.Presence(0x2000) != 0 {
 		t.Error("plain op touched the inclusion filter")
 	}
-	if h.SegmentUtilization(0) != 0 {
+	if eng.Recorder().Value("bus/seg0/busy-ns") != 0 {
 		t.Error("plain op on segment 1 occupied segment 0")
 	}
-	if h.SegmentUtilization(1) == 0 {
+	if eng.Recorder().Value("bus/seg1/busy-ns") == 0 {
 		t.Error("plain op left its home segment idle")
+	}
+	// Segment s tags its events s+1 in the ASID byte, so the trace
+	// viewer draws one track per segment.
+	if evs := sink.Stream(); len(evs) != 1 || evs[0].ASID != 2 {
+		t.Errorf("events %+v, want one event tagged 2 (segment 1)", evs)
 	}
 }
 
-// TestHierarchySingleSegmentMatchesBus pins the reference semantics:
-// with every board on one segment the hierarchy charges exactly the
-// single bus's occupancy for the same transaction sequence.
+// TestHierarchySingleSegmentMatchesBus pins the one-bus case against a
+// two-segment hierarchy whose requesters all sit on segment 0: both
+// charge the same occupancy for the same transaction sequence.
 func TestHierarchySingleSegmentMatchesBus(t *testing.T) {
 	run := func(ic Interconnect, eng *sim.Engine) (Stats, sim.Time) {
 		for i := 0; i < 2; i++ {

@@ -3,58 +3,32 @@ package bus
 import (
 	"fmt"
 
-	"vmp/internal/obs"
 	"vmp/internal/sim"
 )
 
-// Interconnect is the transaction-issue/snoop/arbitration surface of
-// the machine's interconnect, extracted from the single shared VMEbus
-// so the machine can scale past one bus. Two implementations exist:
-//
-//   - *Bus, the reference single shared VMEbus (byte-identical to the
-//     pre-interface machine for every historical scenario), and
-//   - *Hierarchy, boards grouped onto local bus segments joined by an
-//     inter-bus link with an inclusion filter (hierarchy.go).
-//
-// Everything above the interconnect — boards, monitors, copiers, the
-// miss handler, the kernel — issues transactions through Do and never
-// needs to know the topology. Configuration methods (SetTiming,
-// SetSink, SetInjector, SetObserver, Attach) must be called before the
-// simulation starts; they are not safe mid-run.
+// Interconnect is what the machine issues transactions through: boards,
+// monitors, copiers, the miss handler and the kernel call Do and never
+// need to know the topology. *Hierarchy is its one implementation — a
+// single shared VMEbus, or local bus segments joined by an inter-bus
+// link (hierarchy.go). Configuration (SetTiming, SetSink, SetInjector,
+// SetObserver) lives on that concrete type and must happen before the
+// simulation starts.
 type Interconnect interface {
 	// Do performs one transaction on behalf of process p, blocking p
-	// for the arbitration and transfer time (see Bus.Do for the
-	// reference semantics).
+	// for the arbitration and transfer time.
 	Do(p *sim.Process, tx Transaction) Result
-	// Attach registers a bus monitor. The hierarchical implementation
-	// places it on the segment its board lives on.
+	// Attach registers a bus monitor on its board's segment.
 	Attach(s Snooper)
-	// SetInjector attaches a fault injector (nil detaches).
-	SetInjector(inj Injector)
-	// SetSink attaches the observability sink (nil detaches).
-	SetSink(s *obs.Sink)
-	// SetObserver registers fn to run after every logical transaction's
-	// effects, while the (home) bus is still held.
-	SetObserver(fn func(Transaction, Result))
-	// SetTiming overrides the timing constants.
-	SetTiming(t Timing)
 	// Timing returns the timing constants.
 	Timing() Timing
 	// Stats returns the aggregate transaction counters.
 	Stats() Stats
-	// Utilization returns the mean fraction of simulated time the
-	// interconnect's bus segments were busy.
+	// Utilization returns the mean fraction of simulated time the bus
+	// segments were busy.
 	Utilization() float64
-	// BoardBusyTime returns the accumulated occupancy charged to a
-	// board's transactions.
-	BoardBusyTime(id int) sim.Time
 }
 
-// Both implementations must satisfy the full surface.
-var (
-	_ Interconnect = (*Bus)(nil)
-	_ Interconnect = (*Hierarchy)(nil)
-)
+var _ Interconnect = (*Hierarchy)(nil)
 
 // MaxBoards bounds the board count of a hierarchical machine: the
 // inclusion filter keeps one presence bit per board per page frame in a

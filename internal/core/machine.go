@@ -211,12 +211,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	eng := sim.NewEngine()
 	mem := memory.New(cfg.MemorySize, cfg.Cache.PageSize)
-	var ic bus.Interconnect
-	if cfg.Topology.SingleBus() {
-		ic = bus.New(eng)
-	} else {
-		ic = bus.NewHierarchy(eng, cfg.Topology, cfg.Cache.PageSize)
-	}
+	ic := bus.NewHierarchy(eng, cfg.Topology, cfg.Cache.PageSize)
 	m := &Machine{
 		Eng:         eng,
 		Bus:         ic,
@@ -227,11 +222,11 @@ func NewMachine(cfg Config) (*Machine, error) {
 		finishTimes: make(map[int]sim.Time),
 	}
 	if cfg.BusTiming != (bus.Timing{}) {
-		m.Bus.SetTiming(cfg.BusTiming)
+		ic.SetTiming(cfg.BusTiming)
 	}
 	if cfg.Obs != nil {
 		m.sink = obs.NewSink(*cfg.Obs, eng.Now)
-		m.Bus.SetSink(m.sink)
+		ic.SetSink(m.sink)
 	}
 	if !cfg.DisableChecker {
 		m.checker = newChecker()
@@ -242,7 +237,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		m.inj = fault.NewInjector(*cfg.Faults, cfg.FaultSeed, eng.Recorder())
-		m.Bus.SetInjector(m.inj)
+		ic.SetInjector(m.inj)
 		for _, b := range m.Boards {
 			if cap := m.inj.FIFOCap(); cap > 0 {
 				b.Mon.SetDepthLimit(cap)
@@ -271,7 +266,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		}
 	}
 	if m.inj != nil || m.watch != nil {
-		m.Bus.SetObserver(m.observeBus)
+		ic.SetObserver(m.observeBus)
 	}
 	return m, nil
 }

@@ -463,8 +463,8 @@ func AblationTopology(o Options) (*Result, error) {
 
 		util := m.Bus.Utilization()
 		crossings, filtered := "-", "-"
-		if h, ok := m.Bus.(*bus.Hierarchy); ok {
-			ls := h.LinkStats()
+		if !cfg.Topology.SingleBus() {
+			ls := m.Bus.(*bus.Hierarchy).LinkStats()
 			crossings = fmt.Sprintf("%d", ls.Crossings)
 			if tot := ls.Crossings + ls.FilteredLocal; tot > 0 {
 				filtered = fmt.Sprintf("%.1f", 100*float64(ls.FilteredLocal)/float64(tot))
