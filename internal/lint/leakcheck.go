@@ -16,7 +16,7 @@ import (
 //   - a close(ch) — typically `defer close(done)` — signalling
 //     completion to a receiver on all exits;
 //   - a final-statement channel send (the result-handoff shape of
-//     sim.Spawn's yield and vmpd's ListenAndServe error channel);
+//     vmpd's ListenAndServe error channel);
 //   - a receive from a Done() call, plain or in a select case (the
 //     ctx-cancellation shape of serve's runner);
 //   - a receive from a channel that the spawning function closes (the

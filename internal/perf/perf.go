@@ -12,10 +12,11 @@
 //     reporting engine events/sec, simulated-refs/sec and host ns per
 //     simulated miss — the figures ROADMAP item 2's speed campaign is
 //     judged on.
-//   - Micro: allocs/op and ns/op for the four hot components (engine
-//     event queue, bus transaction path, cache lookup, monitor check),
-//     via testing.Benchmark so the op counts are calibrated the same
-//     way `go test -bench` calibrates them.
+//   - Micro: allocs/op and ns/op for the hot components (engine event
+//     queue, process handoff and spawn, bus transaction path, cache
+//     lookup, monitor check, store, telemetry), via testing.Benchmark
+//     so the op counts are calibrated the same way `go test -bench`
+//     calibrates them.
 package perf
 
 import (
@@ -133,6 +134,8 @@ func Collect() (*Snapshot, error) {
 		fn   func(*testing.B)
 	}{
 		{"engine/schedule-fire", benchEngine},
+		{"sim/process-handoff", benchHandoff},
+		{"sim/spawn-exit", benchSpawnExit},
 		{"bus/transaction", benchBus},
 		{"interconnect/local-hit", benchInterconnectLocal},
 		{"interconnect/cross-link", benchInterconnectCross},
@@ -169,6 +172,38 @@ func benchEngine(b *testing.B) {
 			eng.Run()
 		}
 	}
+	eng.Run()
+}
+
+// benchHandoff measures one Delay round trip through a parked
+// process: schedule the wake, switch to the engine, fire, switch back.
+// Every simulated reference pays it once.
+func benchHandoff(b *testing.B) {
+	eng := sim.NewEngine()
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Spawn("handoff", func(p *sim.Process) {
+		for i := 0; i < b.N; i++ {
+			p.Delay(1)
+		}
+	})
+	eng.Run()
+}
+
+// benchSpawnExit measures the copier's per-transfer pattern: spawn a
+// process that delays once and returns, then wait it out. The returned
+// coroutine is reused by the next Spawn, so this stays zero-alloc.
+func benchSpawnExit(b *testing.B) {
+	eng := sim.NewEngine()
+	body := func(p *sim.Process) { p.Delay(1) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Spawn("driver", func(p *sim.Process) {
+		for i := 0; i < b.N; i++ {
+			eng.Spawn("child", body)
+			p.Delay(2)
+		}
+	})
 	eng.Run()
 }
 

@@ -6,11 +6,13 @@
 // reproducible: the same inputs always produce the same event ordering.
 //
 // On top of the raw event queue, Process offers a coroutine abstraction:
-// each simulated actor (a CPU, a DMA device, a block copier) runs as a
-// goroutine that advances virtual time with Delay and synchronizes with
-// other actors through Signal and Semaphore. The engine resumes at most
-// one process at a time, so process code may read and write shared
-// simulation state without locks.
+// each simulated actor (a CPU, a DMA device, a block copier) runs on an
+// iter.Pull coroutine that advances virtual time with Delay and
+// synchronizes with other actors through Signal and Semaphore. The
+// engine resumes at most one process at a time, so process code may
+// read and write shared simulation state without locks. Coroutines
+// whose bodies returned are pooled for the next Spawn and released when
+// Run returns, so no goroutine outlives a run.
 //
 // Each engine owns a stats.Recorder — the per-run metrics sink that the
 // machine components (bus, caches, monitors, boards) register their
@@ -101,8 +103,6 @@ type Engine struct {
 	queue   []*event // binary heap ordered by (at, seq)
 	seq     uint64
 	stopped bool
-	// procs counts live processes, used to detect leaked coroutines.
-	procs int
 
 	// Event pool: free list refilled from chunk allocations.
 	free  *event
@@ -111,15 +111,12 @@ type Engine struct {
 	metrics Metrics
 	rec     *stats.Recorder
 
-	// procPanic transports a panic out of a process body (which runs on
-	// its own goroutine) back onto the engine goroutine: the process
-	// wrapper records it here, and the step handshake re-panics with it
-	// so callers of Run can recover simulator faults with an ordinary
-	// defer (see Process and ProcessPanic).
-	procPanic *ProcessPanic
-	// plist registers every spawned process so KillProcesses can unwind
-	// the ones still parked in the coroutine handshake.
+	// plist holds the live processes, each at its slot, so
+	// KillProcesses can unwind the ones still parked in a yield.
 	plist []*Process
+	// idle heads the free list of coroutines whose bodies returned,
+	// parked for reuse by the next Spawn.
+	idle *Process
 
 	// checkEvery/checkFn implement the host-side cancellation probe
 	// installed by SetCancelCheck. checkFn never influences a run that
@@ -296,12 +293,15 @@ func (e *Engine) Run() Time { return e.RunUntil(-1) }
 // RunUntil processes events until the queue is empty, Stop is called, or
 // the next event would fire after deadline (deadline < 0 means no
 // deadline). Events exactly at the deadline still fire. The clock is
-// advanced to the deadline if it is reached.
+// advanced to the deadline if it is reached. On return, even by panic,
+// the coroutines pooled for reuse are released; live processes stay
+// parked until they are resumed or killed.
 func (e *Engine) RunUntil(deadline Time) Time {
 	//vmplint:allow simclock wall-clock measurement only: Metrics.Wall reports host cost and never feeds simulated state
 	start := time.Now()
 	//vmplint:allow simclock wall-clock measurement only: Metrics.Wall reports host cost and never feeds simulated state
 	defer func() { e.metrics.Wall += time.Since(start) }()
+	defer e.releaseIdle()
 	e.stopped = false
 	for len(e.queue) > 0 && !e.stopped {
 		next := e.queue[0]

@@ -2,27 +2,38 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
-// Process is a coroutine bound to an Engine. A process runs as a
-// goroutine, but the engine resumes at most one process at a time and a
-// process only gives up control at Delay, Pause, or wait points, so
-// process bodies may touch shared simulation state without locking.
+// Process is a coroutine bound to an Engine. Its body runs on a stdlib
+// iter.Pull coroutine: the engine resumes it with next, and Delay,
+// Pause and the wait points hand control back with yield. Exactly one
+// of the engine loop and the processes runs at any moment, so process
+// bodies may touch shared simulation state without locking.
 //
 // A process must not be resumed from two events at once; the engine's
 // single-threaded event loop guarantees this as long as user code only
 // wakes processes through the provided primitives (Delay, Signal,
 // Semaphore, Wake).
+//
+// When a body returns, its coroutine parks on the engine's free list
+// and the next Spawn reuses it together with this Process value, so a
+// *Process must not be used after its body has returned.
 type Process struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	yield  chan struct{}
-	dead   bool
-	// killed marks a process being unwound by KillProcesses: the next
-	// resume panics with the kill sentinel instead of returning to the
-	// body.
+	eng  *Engine
+	name string
+	body func(p *Process)
+	// next resumes the coroutine until its next yield; stop makes a
+	// parked yield return false, which unwinds the coroutine.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	// slot is the process's index in Engine.plist while it is live.
+	slot int
+	dead bool
+	// killed marks a process being unwound by KillProcesses: its parked
+	// yield returns false and the body panics with the kill sentinel.
 	killed bool
 	// blocked is true while the process waits for an external wake
 	// (Signal/Semaphore/Pause) rather than a self-scheduled Delay.
@@ -30,21 +41,21 @@ type Process struct {
 	// stepFn is the step method value, bound once so the Delay/Wake hot
 	// path does not allocate a fresh closure per call.
 	stepFn func()
+	// nextIdle links the engine's free list of parked coroutines.
+	nextIdle *Process
 }
 
-// ProcessPanic is the value the engine re-panics with on its own
-// goroutine when a process body panics. Process bodies run on separate
-// goroutines, where a raw panic would kill the whole program with an
-// unrecoverable goroutine trace; the wrapper installed by Spawn
-// captures the fault instead and the step handshake re-raises it inside
-// Run, so a caller of Run can contain a simulator fault (a livelock
-// hard limit, a protocol assertion) with an ordinary recover.
+// ProcessPanic is the value Run re-panics with when a process body
+// panics. The coroutine wraps the fault while the body's frames are
+// still on its stack, and iter.Pull re-raises it from the engine's
+// resume call, so a caller of Run can contain a simulator fault (a
+// livelock hard limit, a protocol assertion) with an ordinary recover.
 type ProcessPanic struct {
 	// Proc is the name of the process whose body panicked.
 	Proc string
 	// Value is the original panic value.
 	Value any
-	// Stack is the panicking goroutine's stack at the point of capture.
+	// Stack is the panicking coroutine's stack at the point of capture.
 	Stack []byte
 }
 
@@ -53,8 +64,8 @@ func (pp *ProcessPanic) String() string {
 	return fmt.Sprintf("process %q panicked: %v", pp.Proc, pp.Value)
 }
 
-// killSentinel is the panic value KillProcesses uses to unwind a
-// process body; the Spawn wrapper swallows it.
+// killSentinel is the panic value a killed process's parked yield
+// raises to unwind its body; the coroutine swallows it.
 type killSentinel struct{}
 
 // Spawn starts body as a new simulated process. The body begins executing
@@ -62,81 +73,103 @@ type killSentinel struct{}
 // instant. Spawn may be called both from outside Run and from within
 // event callbacks or other processes.
 func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
-	p := &Process{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
-	p.stepFn = p.step
-	e.procs++
-	e.register(p)
-	go func() {
-		<-p.resume
-		if !p.killed {
-			func() {
-				defer func() {
-					r := recover()
-					if r == nil {
-						return
-					}
-					if _, ok := r.(killSentinel); ok {
-						return
-					}
-					p.eng.procPanic = &ProcessPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
-				}()
-				body(p)
-			}()
-		}
-		p.dead = true
-		p.eng.procs--
-		p.yield <- struct{}{}
-	}()
+	p := e.takeIdle()
+	p.name, p.body, p.dead = name, body, false
+	p.slot = len(e.plist)
+	e.plist = append(e.plist, p)
 	e.Schedule(0, p.stepFn)
 	return p
 }
 
-// register adds p to the kill registry, compacting dead entries when
-// the slice is about to grow so long-lived engines that spawn and
-// retire many processes stay bounded.
-func (e *Engine) register(p *Process) {
-	if len(e.plist) == cap(e.plist) {
-		live := e.plist[:0]
-		for _, q := range e.plist {
-			if !q.dead {
-				live = append(live, q)
-			}
-		}
-		e.plist = live
+// takeIdle pops a parked coroutine off the free list, or starts a new
+// one when the list is empty.
+//
+//vmplint:hotpath
+func (e *Engine) takeIdle() *Process {
+	if p := e.idle; p != nil {
+		e.idle = p.nextIdle
+		p.nextIdle = nil
+		return p
 	}
-	e.plist = append(e.plist, p)
+	p := &Process{eng: e} //vmplint:allow hotalloc the coroutine free list grows to peak process concurrency once, then Spawn reuses it; the sim/spawn-exit micro pins 0 allocs/op
+	p.stepFn = p.step
+	p.next, p.stop = iter.Pull(p.run)
+	return p
 }
 
-// KillProcesses unwinds every live process: each parked coroutine is
-// resumed one final time and panics internally with a kill sentinel, so
-// its goroutine runs its defers and exits instead of leaking. Call it
-// only from outside Run (never from an event callback or process body),
+// run is the coroutine's iterator function. It runs one body per
+// Spawn; when a body returns, the coroutine parks on the free list
+// until the next Spawn hands it another. A false yield ends it.
+func (p *Process) run(yield func(struct{}) bool) {
+	p.yield = yield
+	for {
+		p.exec()
+		if p.killed {
+			return
+		}
+		p.eng.unlist(p)
+		p.body, p.nextIdle, p.eng.idle = nil, p.eng.idle, p
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// exec runs the current body. A body panic is rewrapped as a
+// *ProcessPanic while the body's frames are still on the stack, and
+// leaves the coroutine through next. A kill's sentinel, and anything a
+// deferred call panics with while a kill unwinds the body, is
+// swallowed: the killed simulation is abandoned regardless.
+func (p *Process) exec() {
+	defer func() {
+		if r := recover(); r != nil && !p.killed {
+			p.eng.unlist(p)
+			panic(&ProcessPanic{Proc: p.name, Value: r, Stack: debug.Stack()})
+		}
+	}()
+	p.body(p)
+}
+
+// unlist marks p dead and removes it from the live list.
+func (e *Engine) unlist(p *Process) {
+	n := len(e.plist) - 1
+	last := e.plist[n]
+	e.plist[p.slot], last.slot = last, p.slot
+	e.plist[n] = nil
+	e.plist = e.plist[:n]
+	p.dead = true
+}
+
+// releaseIdle ends every coroutine parked on the free list, so that
+// none outlives the run.
+func (e *Engine) releaseIdle() {
+	for p := e.idle; p != nil; p = p.nextIdle {
+		p.stop()
+	}
+	e.idle = nil
+}
+
+// KillProcesses unwinds every live process: each parked yield returns
+// false and the body panics internally with a kill sentinel, so it
+// runs its defers and its coroutine ends instead of leaking. A process
+// whose body has not started never runs it. Call KillProcesses only
+// from outside Run (never from an event callback or process body),
 // after abandoning a cancelled or faulted simulation; the simulated
 // state is left as-is and must not be trusted afterwards.
 func (e *Engine) KillProcesses() {
-	for _, p := range e.plist {
-		if p.dead {
-			continue
-		}
+	for len(e.plist) > 0 {
+		p := e.plist[len(e.plist)-1]
 		p.killed = true
-		p.resume <- struct{}{}
-		<-p.yield
+		p.stop()
+		e.unlist(p)
 	}
-	e.plist = e.plist[:0]
-	// A defer that panicked during unwinding must not poison a later,
-	// unrelated step; the killed simulation is abandoned regardless.
-	e.procPanic = nil
+	e.releaseIdle()
 }
 
 // Live reports the number of processes that have been spawned and have
 // not yet returned. A nonzero value after Run completes usually means a
 // process is blocked forever (a simulation deadlock).
-func (e *Engine) Live() int { return e.procs }
+func (e *Engine) Live() int { return len(e.plist) }
 
 // Name returns the name given at Spawn.
 func (p *Process) Name() string { return p.name }
@@ -149,33 +182,34 @@ func (p *Process) Now() Time { return p.eng.now }
 
 // step transfers control into the process until its next yield. It is
 // the only way a process ever runs, so process execution is serialized
-// with all other events. A panic captured from the process body is
-// re-raised here, on the engine goroutine, where Run's caller can
-// recover it.
+// with all other events. A body panic comes out of next as a
+// *ProcessPanic, on the goroutine running the engine.
+//
+//vmplint:hotpath
 func (p *Process) step() {
-	if p.dead {
-		return
-	}
-	p.resume <- struct{}{}
-	<-p.yield
-	if pp := p.eng.procPanic; pp != nil {
-		p.eng.procPanic = nil
-		panic(pp)
+	if !p.dead {
+		p.next()
 	}
 }
 
-// switchOut returns control to the engine and blocks until the next
-// step call resumes the process.
+// switchOut returns control to the engine until the next step resumes
+// the process. While a kill unwinds the body it returns at once, so a
+// deferred Delay or Pause cannot park a dying coroutine.
+//
+//vmplint:hotpath
 func (p *Process) switchOut() {
-	p.yield <- struct{}{}
-	<-p.resume
 	if p.killed {
+		return
+	}
+	if !p.yield(struct{}{}) {
 		panic(killSentinel{})
 	}
 }
 
 // Delay advances this process's local activity by d simulated time.
 // Other events and processes run in the meantime.
+//
+//vmplint:hotpath
 func (p *Process) Delay(d Time) {
 	p.eng.Schedule(d, p.stepFn)
 	p.switchOut()
