@@ -278,6 +278,8 @@ func (s *Server) enqueue(j *job) bool {
 // finishJob moves a job to a terminal state and emits the matching
 // event.
 func (s *Server) finishJob(j *job, state JobState, errMsg, dump string) {
+	kind := map[JobState]string{JobDone: "done", JobFailed: "failed", JobCanceled: "canceled"}[state]
+	cinc(s.met.jobsFinished.WithLabel(kind))
 	j.update(func(v *JobView) {
 		v.State = state
 		v.Finished = time.Now().UTC()
@@ -288,9 +290,7 @@ func (s *Server) finishJob(j *job, state JobState, errMsg, dump string) {
 			v.Dump = dump
 		}
 	})
-	kind := map[JobState]string{JobDone: "done", JobFailed: "failed", JobCanceled: "canceled"}[state]
 	j.emit(JobEvent{Kind: kind, Err: errMsg})
-	cinc(s.met.jobsFinished.WithLabel(kind))
 	v := j.View()
 	s.log.Info("job finished",
 		"job", v.ID, "state", kind, "cells", v.Cells, "cache_hits", v.CacheHits,
@@ -309,21 +309,24 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 
-	defer func() {
-		if r := recover(); r != nil {
-			cinc(s.met.faultedCells)
-			s.finishJob(j, JobFailed, fmt.Sprintf("job panicked: %v", r), string(debug.Stack()))
-		}
-	}()
-
 	// The queue span covers admission to run start; the run span covers
-	// everything from here to the terminal state.
+	// everything from here to the terminal state. Both are recorded
+	// before the terminal state is published, so a client woken by it
+	// already sees them.
 	runStart := time.Now()
 	j.recordSpan("job", "queue", j.epoch, runStart, "")
 	hsince(s.met.queueWait, j.epoch)
-	defer func() {
-		j.recordSpan("job", "run", runStart, time.Now(), string(j.state()))
+	finish := func(state JobState, errMsg, dump string) {
+		j.recordSpan("job", "run", runStart, time.Now(), string(state))
 		hsince(s.met.runDur, runStart)
+		s.finishJob(j, state, errMsg, dump)
+	}
+
+	defer func() {
+		if r := recover(); r != nil {
+			cinc(s.met.faultedCells)
+			finish(JobFailed, fmt.Sprintf("job panicked: %v", r), string(debug.Stack()))
+		}
 	}()
 
 	ctx, cancel := context.WithTimeout(s.baseCtx, j.budget)
@@ -382,17 +385,17 @@ func (s *Server) runJob(j *job) {
 			if errors.Is(err, context.DeadlineExceeded) {
 				state, msg = JobFailed, fmt.Sprintf("job budget %s exceeded", j.budget)
 			}
-			s.finishJob(j, state, msg, "")
+			finish(state, msg, "")
 			return
 		}
 	}
 
 	v := j.View()
 	if v.FailedCells > 0 {
-		s.finishJob(j, JobFailed, fmt.Sprintf("%d/%d cells failed: %s", v.FailedCells, v.Cells, firstCellError(j)), "")
+		finish(JobFailed, fmt.Sprintf("%d/%d cells failed: %s", v.FailedCells, v.Cells, firstCellError(j)), "")
 		return
 	}
-	s.finishJob(j, JobDone, "", "")
+	finish(JobDone, "", "")
 }
 
 // firstCellError digs the first failed cell's message out of the event
@@ -718,6 +721,15 @@ func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// An unnamed spec is named after its content. The name is part of
+	// the fingerprint, so the record is keyed by the named spec's.
+	if norm.Name == "" {
+		norm.Name = "spec-" + fp
+		if fp, err = norm.Fingerprint(); err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+	}
 
 	// Cache hits are served even while shedding or over quota: they
 	// cost a disk read, not a simulation.
@@ -734,9 +746,6 @@ func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 		s.shed(r)
 		shedError(w, 5*time.Second, "load shedding: compute submissions rejected")
 		return
-	}
-	if norm.Name == "" {
-		norm.Name = "spec-" + fp
 	}
 	work := jobWork{cells: []scenario.Cell{{Name: norm.Name, Spec: norm}}, fps: []string{fp}}
 	j := s.newJobRecord("spec", norm.Name, clientID(r), work, s.budgetFor(r))

@@ -118,6 +118,44 @@ func stats(t *testing.T, ts *httptest.Server) StatsView {
 	return sv
 }
 
+// TestUnnamedSpecWaitThenCacheHit: an unnamed spec is named after its
+// fingerprint, and the record, the reply and a resubmission's cache
+// lookup must all use the named spec's fingerprint.
+func TestUnnamedSpecWaitThenCacheHit(t *testing.T) {
+	_, ts := testServer(t, nil)
+	body := mustJSON(t, smallSpec(""))
+
+	resp, data := post(t, ts.URL+"/v1/specs?wait=1", body, "alice")
+	if resp.StatusCode != 200 {
+		t.Fatalf("first submit = %d: %s", resp.StatusCode, data)
+	}
+	var first specResponse
+	if err := json.Unmarshal(data, &first); err != nil {
+		t.Fatal(err)
+	}
+	if first.Cached {
+		t.Error("first submission claims a cache hit")
+	}
+
+	resp, data = post(t, ts.URL+"/v1/specs?wait=1", body, "alice")
+	if resp.StatusCode != 200 {
+		t.Fatalf("resubmission = %d: %s", resp.StatusCode, data)
+	}
+	var second specResponse
+	if err := json.Unmarshal(data, &second); err != nil {
+		t.Fatal(err)
+	}
+	if !second.Cached {
+		t.Error("resubmission was not answered from the cache")
+	}
+	if second.Fingerprint != first.Fingerprint {
+		t.Errorf("resubmission fingerprint %s, first %s", second.Fingerprint, first.Fingerprint)
+	}
+	if !bytes.Equal(first.Result, second.Result) {
+		t.Error("cached result differs from the computed one")
+	}
+}
+
 func TestSpecComputeThenCacheHitByteIdentical(t *testing.T) {
 	_, ts := testServer(t, nil)
 	body := mustJSON(t, smallSpec("cache-me"))
