@@ -148,7 +148,7 @@ func TestProcessPanicPropagatesToRunCaller(t *testing.T) {
 }
 
 // TestRegisterCompaction: spawning far more processes than the registry
-// capacity keeps the registry bounded by compacting dead entries.
+// capacity keeps the registry bounded: it holds live processes only.
 func TestRegisterCompaction(t *testing.T) {
 	eng := NewEngine()
 	for i := 0; i < 10_000; i++ {
@@ -156,7 +156,7 @@ func TestRegisterCompaction(t *testing.T) {
 		eng.Run()
 	}
 	if len(eng.plist) > 4096 {
-		t.Fatalf("process registry grew to %d entries; dead entries are not compacted", len(eng.plist))
+		t.Fatalf("process registry grew to %d entries; returned processes are not removed", len(eng.plist))
 	}
 	if eng.Live() != 0 {
 		t.Fatalf("Live() = %d, want 0", eng.Live())

@@ -31,7 +31,6 @@ type Process struct {
 	yield func(struct{}) bool
 	// slot is the process's index in Engine.plist while it is live.
 	slot int
-	dead bool
 	// killed marks a process being unwound by KillProcesses: its parked
 	// yield returns false and the body panics with the kill sentinel.
 	killed bool
@@ -74,7 +73,7 @@ type killSentinel struct{}
 // event callbacks or other processes.
 func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
 	p := e.takeIdle()
-	p.name, p.body, p.dead = name, body, false
+	p.name, p.body = name, body
 	p.slot = len(e.plist)
 	e.plist = append(e.plist, p)
 	e.Schedule(0, p.stepFn)
@@ -130,14 +129,13 @@ func (p *Process) exec() {
 	p.body(p)
 }
 
-// unlist marks p dead and removes it from the live list.
+// unlist removes p from the live list.
 func (e *Engine) unlist(p *Process) {
 	n := len(e.plist) - 1
 	last := e.plist[n]
 	e.plist[p.slot], last.slot = last, p.slot
 	e.plist[n] = nil
 	e.plist = e.plist[:n]
-	p.dead = true
 }
 
 // releaseIdle ends every coroutine parked on the free list, so that
@@ -183,14 +181,12 @@ func (p *Process) Now() Time { return p.eng.now }
 // step transfers control into the process until its next yield. It is
 // the only way a process ever runs, so process execution is serialized
 // with all other events. A body panic comes out of next as a
-// *ProcessPanic, on the goroutine running the engine.
+// *ProcessPanic, on the goroutine running the engine. The coroutine of
+// a killed or panicked process has ended, and next returns at once, so
+// a wake still queued for it is inert.
 //
 //vmplint:hotpath
-func (p *Process) step() {
-	if !p.dead {
-		p.next()
-	}
-}
+func (p *Process) step() { p.next() }
 
 // switchOut returns control to the engine until the next step resumes
 // the process. While a kill unwinds the body it returns at once, so a
