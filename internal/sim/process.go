@@ -107,7 +107,8 @@ func (p *Process) run(yield func(struct{}) bool) {
 			return
 		}
 		p.eng.unlist(p)
-		p.body, p.nextIdle, p.eng.idle = nil, p.eng.idle, p
+		p.body = nil
+		p.nextIdle, p.eng.idle = p.eng.idle, p
 		if !yield(struct{}{}) {
 			return
 		}
