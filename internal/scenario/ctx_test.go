@@ -111,8 +111,8 @@ func TestRunGuardedLeaksNoGoroutines(t *testing.T) {
 			t.Fatal("expected a fault")
 		}
 	}
-	// Killed coroutines exit asynchronously after the kill handshake
-	// completes their final yield; give the scheduler a moment.
+	// Killed coroutines end inside KillProcesses; the wait only absorbs
+	// unrelated runtime goroutines.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= base+2 {
