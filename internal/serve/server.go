@@ -314,20 +314,19 @@ func (s *Server) runJob(j *job) {
 	// before the terminal state is published, so a client woken by it
 	// already sees them.
 	runStart := time.Now()
-	j.recordSpan("job", "queue", j.epoch, runStart, "")
-	hsince(s.met.queueWait, j.epoch)
 	finish := func(state JobState, errMsg, dump string) {
 		j.recordSpan("job", "run", runStart, time.Now(), string(state))
 		hsince(s.met.runDur, runStart)
 		s.finishJob(j, state, errMsg, dump)
 	}
-
 	defer func() {
 		if r := recover(); r != nil {
 			cinc(s.met.faultedCells)
 			finish(JobFailed, fmt.Sprintf("job panicked: %v", r), string(debug.Stack()))
 		}
 	}()
+	j.recordSpan("job", "queue", j.epoch, runStart, "")
+	hsince(s.met.queueWait, j.epoch)
 
 	ctx, cancel := context.WithTimeout(s.baseCtx, j.budget)
 	defer cancel()
