@@ -345,34 +345,34 @@ func runFuzzProgram(t *testing.T, prog []byte) string {
 	}
 
 	if stopped {
-		started := 0
-		for _, fp := range h.procs {
-			if fp.started {
-				started++
+		started := func() (n int) {
+			for _, fp := range h.procs {
+				if fp.started {
+					n++
+				}
 			}
+			return n
 		}
+		before := started()
 		h.e.KillProcesses()
 		if n := h.e.Live(); n != 0 {
 			h.fail("Live() = %d after KillProcesses, want 0", n)
+		}
+		if n := started() - before; n != 0 {
+			h.fail("KillProcesses started %d bodies", n)
 		}
 		for _, fp := range h.procs {
 			if fp.started && !fp.exited {
 				h.fail("p%d did not unwind through its defers when killed", fp.id)
 			}
-			if fp.started {
-				started--
-			}
-		}
-		if started != 0 {
-			h.fail("KillProcesses started %d bodies", -started)
 		}
 		// Whatever the kill left queued must be inert.
 		h.over = true
 		h.e.SetCancelCheck(0, nil)
-		before := h.activations
+		activations := h.activations
 		h.runOnce()
-		if h.activations != before {
-			h.fail("%d activations after KillProcesses", h.activations-before)
+		if n := h.activations - activations; n != 0 {
+			h.fail("%d activations after KillProcesses", n)
 		}
 		fmt.Fprintf(&h.log, "killed@%d", h.e.Now())
 	} else {
