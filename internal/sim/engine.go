@@ -80,6 +80,9 @@ type Metrics struct {
 	EventsFired uint64
 	// EventsScheduled counts Schedule/At calls.
 	EventsScheduled uint64
+	// Switches counts coroutine resumptions: each time control passes
+	// from the engine into a process, by a step event or by Resume.
+	Switches uint64
 	// MaxQueueDepth is the high-water mark of the pending-event heap.
 	MaxQueueDepth int
 	// Wall is the accumulated wall-clock time spent inside Run/RunUntil.

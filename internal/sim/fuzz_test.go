@@ -11,8 +11,9 @@ import (
 //
 //   - same-instant FIFO: wakes fire in (time, scheduling order);
 //   - no lost or double wakes: every blocking call returns exactly once
-//     per wake issued to it, and a process still live when the queue
-//     drains is parked in some waiter list;
+//     per wake issued to it, a Resume runs the process inside the
+//     resuming event, and a process still live when the queue drains
+//     is parked in some waiter list;
 //   - KillProcesses leaves Live()==0, unwinds every started body through
 //     its defers, starts no body, and leaves only inert events behind;
 //   - a body panic reaches the Run caller exactly once, as *ProcessPanic;
@@ -48,6 +49,7 @@ const (
 	fzSpawn              // Spawn script arg (nesting capped)
 	fzPanic              // panic with a value naming the process
 	fzEvent              // raw event at +arg%8 that may broadcast a signal
+	fzResume             // raw event at +arg%8 that resumes the longest-paused process
 	fzNumOps
 )
 
@@ -251,6 +253,25 @@ func (h *fzHarness) body(fp *fzProc, p *Process) {
 				if k < 2 {
 					h.broadcast(k)
 				}
+			})
+		case fzResume:
+			d := Time(op.arg % 8)
+			tk := h.nextTicket()
+			h.e.Schedule(d, func() {
+				if h.over {
+					return
+				}
+				if len(h.paused) == 0 {
+					h.activate("resume-none", tk)
+					return
+				}
+				w := h.paused[0]
+				h.paused = h.paused[1:]
+				// The process runs inside this event, so its activation
+				// carries the event's ticket.
+				w.pending++
+				w.ticket = tk
+				w.p.Resume()
 			})
 		}
 	}

@@ -26,6 +26,23 @@ func TestEngineMetrics(t *testing.T) {
 	}
 }
 
+// TestEngineMetricsSwitches counts one switch per resumption of a
+// process: its first step and each Delay's wake.
+func TestEngineMetricsSwitches(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("p", func(p *Process) {
+		for i := 0; i < 3; i++ {
+			p.Delay(1)
+		}
+	})
+	e.Schedule(2, func() {})
+	e.Run()
+	m := e.Metrics()
+	if m.Switches != 4 || m.EventsFired != 5 {
+		t.Errorf("Switches = %d, EventsFired = %d, want 4 and 5", m.Switches, m.EventsFired)
+	}
+}
+
 func TestEngineMetricsNestedDepth(t *testing.T) {
 	e := NewEngine()
 	// One event that fans out into 10: the high-water mark is observed

@@ -187,7 +187,10 @@ func (p *Process) Now() Time { return p.eng.now }
 // a wake still queued for it is inert.
 //
 //vmplint:hotpath
-func (p *Process) step() { p.next() }
+func (p *Process) step() {
+	p.eng.metrics.Switches++
+	p.next()
+}
 
 // switchOut returns control to the engine until the next step resumes
 // the process. While a kill unwinds the body it returns at once, so a
@@ -232,6 +235,20 @@ func (p *Process) Wake() {
 	}
 	p.blocked = false
 	p.eng.Schedule(0, p.stepFn)
+}
+
+// Resume runs a process paused via Pause inside the current event,
+// until its next yield. Unlike Wake it schedules nothing: no event is
+// added, so an event callback that usually finishes its work alone can
+// hand over to a process when it must without changing the event
+// sequence. Call it from an event callback. Resuming a process that is
+// not paused panics.
+func (p *Process) Resume() {
+	if !p.blocked {
+		panic("sim: Resume of a process that is not paused: " + p.name)
+	}
+	p.blocked = false
+	p.step()
 }
 
 // Signal is a broadcast condition variable for processes. The zero

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -278,4 +280,69 @@ func TestWaitTimeoutRepeated(t *testing.T) {
 	if hits != 1 {
 		t.Errorf("signalled %d times, want 1", hits)
 	}
+}
+
+// TestResumeRunsInsideTheEvent resumes a paused process from a raw
+// event: the process runs before Resume returns, at the event's time,
+// and no event is scheduled for it.
+func TestResumeRunsInsideTheEvent(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	proc := e.Spawn("p", func(p *Process) {
+		p.Pause()
+		log = append(log, fmt.Sprintf("resumed@%d", p.Now()))
+		p.Pause()
+		log = append(log, "resumed again")
+	})
+	e.Schedule(7, func() {
+		before := e.Metrics()
+		log = append(log, "event")
+		proc.Resume()
+		log = append(log, "returned")
+		after := e.Metrics()
+		if after.EventsScheduled != before.EventsScheduled || e.Pending() != 0 {
+			t.Errorf("Resume scheduled %d events, %d pending", after.EventsScheduled-before.EventsScheduled, e.Pending())
+		}
+		if after.Switches != before.Switches+1 {
+			t.Errorf("Resume counted %d switches, want 1", after.Switches-before.Switches)
+		}
+	})
+	e.Run()
+	if got, want := strings.Join(log, " "), "event resumed@7 returned"; got != want {
+		t.Errorf("log %q, want %q", got, want)
+	}
+	m := e.Metrics()
+	if m.EventsFired != 2 || m.Switches != 2 {
+		t.Errorf("EventsFired = %d, Switches = %d, want 2 and 2 (the first step and the resume)", m.EventsFired, m.Switches)
+	}
+	if !proc.Blocked() || e.Live() != 1 {
+		t.Errorf("Blocked() = %v with %d live, want the process paused again", proc.Blocked(), e.Live())
+	}
+	e.KillProcesses()
+}
+
+// TestResumePanicsUnlessPaused resumes a process that has not started
+// and one waiting in a Delay: neither is paused.
+func TestResumePanicsUnlessPaused(t *testing.T) {
+	resume := func(t *testing.T, e *Engine, fn func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "not paused") {
+				t.Errorf("recovered %v, want a not-paused panic", r)
+			}
+			e.KillProcesses()
+		}()
+		fn()
+	}
+	t.Run("not started", func(t *testing.T) {
+		e := NewEngine()
+		proc := e.Spawn("p", func(p *Process) { p.Delay(1) })
+		resume(t, e, proc.Resume)
+	})
+	t.Run("in a delay", func(t *testing.T) {
+		e := NewEngine()
+		proc := e.Spawn("p", func(p *Process) { p.Delay(10) })
+		e.Schedule(5, proc.Resume)
+		resume(t, e, func() { e.Run() })
+	})
 }
