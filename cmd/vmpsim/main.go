@@ -220,8 +220,8 @@ func main() {
 	}
 	fmt.Printf("simulated %v on %d processor(s); bus utilization %.1f%%\n",
 		res.Summary.SimTime(), res.Spec.Machine.Processors, res.Summary.BusUtilPct)
-	fmt.Printf("engine: %d events fired, max queue depth %d, %.3g sim-ns/wall-ms (%v wall)\n\n",
-		em.EventsFired, em.MaxQueueDepth, em.SimNsPerWallMs(m.Eng.Now()), em.Wall.Round(time.Millisecond))
+	fmt.Printf("engine: %d events fired, %d process switches, max queue depth %d, %.3g sim-ns/wall-ms (%v wall)\n\n",
+		em.EventsFired, em.Switches, em.MaxQueueDepth, em.SimNsPerWallMs(m.Eng.Now()), em.Wall.Round(time.Millisecond))
 
 	t := stats.NewTable("Per-board results",
 		"Board", "Refs", "Miss Ratio (%)", "Performance", "WriteBacks", "Inval In", "Downgrades", "Retries", "Recoveries")

@@ -252,12 +252,42 @@ func (b *Board) frameAddr(frame uint32) uint32 {
 // The reference's CPU execution time is charged by the caller; Access
 // charges only miss-handling time.
 func (b *Board) Access(p *sim.Process, asid uint8, vaddr uint32, acc cache.Access) error {
+	res, looked := b.beginAccess(asid, vaddr, acc)
+	if looked && res == cache.Hit {
+		return nil
+	}
+	return b.finishAccess(p, asid, vaddr, acc, res, looked)
+}
+
+// beginAccess is the part of a reference that needs no process: it
+// counts the reference and, when no interrupt word waits in the
+// monitor FIFO and none was dropped, makes the reference's cache
+// lookup. looked reports whether it did; with words waiting, interrupt
+// service must come first, and that needs the process.
+//
+//vmplint:hotpath
+func (b *Board) beginAccess(asid uint8, vaddr uint32, acc cache.Access) (res cache.Result, looked bool) {
 	b.ctr.refs.Inc()
-	// Bus-monitor interrupts are serviced between instructions.
-	b.ServiceInterrupts(p)
+	if b.Mon.Pending() > 0 || b.Mon.Dropped() {
+		return res, false
+	}
+	_, res = b.Cache.Lookup(asid, vaddr, acc)
+	return res, true
+}
+
+// finishAccess completes a reference begun by beginAccess: interrupt
+// service, then the miss handler, ownership upgrades and retries. It
+// continues from the lookup beginAccess made, if any, and does not
+// look up again: a second lookup would count the reference twice in
+// the cache statistics and touch LRU.
+func (b *Board) finishAccess(p *sim.Process, asid uint8, vaddr uint32, acc cache.Access, res cache.Result, looked bool) error {
+	if !looked {
+		// Bus-monitor interrupts are serviced between instructions.
+		b.ServiceInterrupts(p)
+		_, res = b.Cache.Lookup(asid, vaddr, acc)
+	}
 	attempt := 0
 	for {
-		_, res := b.Cache.Lookup(asid, vaddr, acc)
 		switch res {
 		case cache.Hit:
 			return nil
@@ -279,6 +309,7 @@ func (b *Board) Access(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acces
 			b.ctr.protFaults.Inc()
 			return fmt.Errorf("core: protection fault board=%d asid=%d vaddr=%#x", b.ID, asid, vaddr)
 		}
+		_, res = b.Cache.Lookup(asid, vaddr, acc)
 	}
 }
 

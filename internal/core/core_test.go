@@ -401,6 +401,47 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 }
 
+// TestTraceHitsSwitchOnlyForSlowReferences replays one board's trace:
+// four writes that miss and take their pages private, then a tail of
+// reads and writes that all hit. The driver's tick events serve the
+// hits without resuming its process, so a longer tail adds one event
+// and one cache hit per reference, and no process switch.
+func TestTraceHitsSwitchOnlyForSlowReferences(t *testing.T) {
+	type result struct {
+		eng   sim.Metrics
+		cache cache.Stats
+	}
+	run := func(tail int) result {
+		m := newTestMachine(t, 1)
+		refs := make([]trace.Ref, 4+tail)
+		for i := range refs {
+			kind := trace.Write
+			if i >= 4 && i%2 == 0 {
+				kind = trace.Read
+			}
+			refs[i] = trace.Ref{Kind: kind, ASID: 1, VAddr: 0x10000 + uint32(i%4)*256}
+		}
+		if err := m.PrefaultTrace(refs); err != nil {
+			t.Fatal(err)
+		}
+		m.RunTrace(0, trace.NewSliceSource(refs))
+		m.Run()
+		checkClean(t, m)
+		return result{m.Eng.Metrics(), m.Boards[0].Cache.Stats()}
+	}
+	short, long := run(10), run(1000)
+	if long.cache.Misses != short.cache.Misses || long.cache.Hits-short.cache.Hits != 990 {
+		t.Fatalf("990 more tail references: misses %d -> %d, hits %d -> %d; want only 990 more hits",
+			short.cache.Misses, long.cache.Misses, short.cache.Hits, long.cache.Hits)
+	}
+	if long.eng.Switches != short.eng.Switches {
+		t.Errorf("process switches: %d with a 10-hit tail, %d with a 1000-hit tail; want equal", short.eng.Switches, long.eng.Switches)
+	}
+	if d := long.eng.EventsFired - short.eng.EventsFired; d != 990 {
+		t.Errorf("990 more hits fired %d more events, want 990", d)
+	}
+}
+
 func TestMultiprocessorSharedTrace(t *testing.T) {
 	// Several boards replaying write-sharing traces against one page:
 	// heavy contention, but the protocol must stay consistent.

@@ -409,24 +409,83 @@ func (m *Machine) PrefaultTrace(refs []trace.Ref) error {
 // Protection faults are counted and skipped (a trace cannot respond to
 // them). The driver must be attached before Run.
 func (m *Machine) RunTrace(boardID int, src trace.Source) {
-	b := m.Boards[boardID]
+	c := &traceCPU{m: m, b: m.Boards[boardID], src: src, refTime: m.cfg.Timing.RefTime()}
+	c.tickFn = c.tick
 	m.activeDrivers++
-	refTime := m.cfg.Timing.RefTime()
-	m.Eng.Spawn(fmt.Sprintf("cpu%d", boardID), func(p *sim.Process) {
-		for {
-			ref, ok := src.Next()
-			if !ok {
-				break
-			}
-			p.Delay(refTime)
-			acc := cache.Access{Write: ref.IsWrite(), Super: ref.Super}
-			// Access returns an error only for protection faults, which
-			// are already counted in the board stats.
-			_ = b.Access(p, ref.ASID, ref.VAddr, acc)
+	m.Eng.Spawn(fmt.Sprintf("cpu%d", boardID), c.run)
+}
+
+// traceCPU is a trace-driven processor. In VMP the cache hardware
+// serves a hit at processor speed and only a miss traps into software
+// (Section 2), and the driver splits the same way. A tick event issues
+// each reference at its time and serves it alone when it hits; the
+// CPU's process runs, resumed inside the tick, only for a reference
+// that needs the handler (a miss, an upgrade, a protection fault or a
+// waiting interrupt word) and at the end of the stream. Each tick
+// takes the place of the step event a Delay would have scheduled, at
+// the same time and sequence number, so the event order is the same
+// as a process issuing every reference itself.
+type traceCPU struct {
+	m       *Machine
+	b       *Board
+	src     trace.Source
+	p       *sim.Process
+	refTime sim.Time
+	tickFn  func()
+
+	// ref is the reference the pending tick issues. slow, res and
+	// looked are what the tick leaves the process: whether the
+	// reference needs finishing, and the lookup it made.
+	ref    trace.Ref
+	slow   bool
+	res    cache.Result
+	looked bool
+}
+
+// run is the CPU's process body. It fetches the first reference, then
+// stays paused while ticks serve hits, finishing each reference a tick
+// hands over.
+func (c *traceCPU) run(p *sim.Process) {
+	c.p = p
+	for c.advance() {
+		p.Pause()
+		if !c.slow {
+			break // the stream ended on a hit
 		}
-		m.driverDone(boardID, p)
-		b.IdleLoop(p)
-	})
+		acc := cache.Access{Write: c.ref.IsWrite(), Super: c.ref.Super}
+		// finishAccess returns an error only for protection faults,
+		// which are already counted in the board stats.
+		_ = c.b.finishAccess(p, c.ref.ASID, c.ref.VAddr, acc, c.res, c.looked)
+	}
+	c.m.driverDone(c.b.ID, p)
+	c.b.IdleLoop(p)
+}
+
+// advance fetches the next reference and schedules its tick one
+// reference time from now. It reports false at the end of the stream.
+//
+//vmplint:hotpath
+func (c *traceCPU) advance() bool {
+	ref, ok := c.src.Next()
+	if !ok {
+		return false
+	}
+	c.ref = ref
+	c.m.Eng.Schedule(c.refTime, c.tickFn)
+	return true
+}
+
+// tick issues the pending reference. A hit is done here, and the next
+// reference is fetched at once; anything else resumes the process.
+//
+//vmplint:hotpath
+func (c *traceCPU) tick() {
+	acc := cache.Access{Write: c.ref.IsWrite(), Super: c.ref.Super}
+	c.res, c.looked = c.b.beginAccess(c.ref.ASID, c.ref.VAddr, acc)
+	c.slow = !c.looked || c.res != cache.Hit
+	if c.slow || !c.advance() {
+		c.p.Resume()
+	}
 }
 
 // RunProgram attaches a program-driven CPU to a board (see CPU).
