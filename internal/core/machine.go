@@ -388,11 +388,18 @@ func (m *Machine) Prefault(asid uint8, vaddrs []uint32) error {
 	return nil
 }
 
-// PrefaultTrace maps every page a trace touches.
+// PrefaultTrace maps every page a trace touches, in first-touch order.
+// A reference on the same page as the one before it is skipped without
+// a map lookup.
 func (m *Machine) PrefaultTrace(refs []trace.Ref) error {
 	seen := make(map[uint64]bool)
+	last := ^uint64(0) // no page key: an ASID has 8 bits
 	for _, r := range refs {
 		key := uint64(r.ASID)<<32 | uint64(r.VAddr/vm.PageSize)
+		if key == last {
+			continue
+		}
+		last = key
 		if seen[key] {
 			continue
 		}

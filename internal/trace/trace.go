@@ -95,9 +95,13 @@ func (s *SliceSource) Reset() { s.pos = 0 }
 func (s *SliceSource) Len() int { return len(s.refs) }
 
 // Collect drains a source into a slice, stopping after max references
-// (max <= 0 means no limit).
+// (max <= 0 means no limit). With a limit, the slice is allocated at
+// that capacity up front.
 func Collect(src Source, max int) []Ref {
 	var out []Ref
+	if max > 0 {
+		out = make([]Ref, 0, max)
+	}
 	for {
 		if max > 0 && len(out) >= max {
 			return out

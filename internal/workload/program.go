@@ -81,7 +81,11 @@ type Program struct {
 	savedPC    uint32 // user pc saved across a kernel entry
 	savedSP    uint32 // user sp saved across a kernel entry
 
-	pendingData []trace.Ref // data refs queued behind the current ifetch
+	// pendingData queues the data refs behind the current ifetch;
+	// pendingHead indexes the next one. The queue is reset to empty
+	// when it drains, so its backing array is reused.
+	pendingData []trace.Ref
+	pendingHead int
 }
 
 type frame struct {
@@ -124,9 +128,12 @@ func NewProgram(cfg ProgramConfig) *Program {
 // Next implements trace.Source. The stream is unbounded; wrap with
 // trace.Limit for a finite trace.
 func (p *Program) Next() (trace.Ref, bool) {
-	if len(p.pendingData) > 0 {
-		r := p.pendingData[0]
-		p.pendingData = p.pendingData[1:]
+	if p.pendingHead < len(p.pendingData) {
+		r := p.pendingData[p.pendingHead]
+		p.pendingHead++
+		if p.pendingHead == len(p.pendingData) {
+			p.pendingData, p.pendingHead = p.pendingData[:0], 0
+		}
 		return r, true
 	}
 	return p.instruction(), true
