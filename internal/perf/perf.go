@@ -14,7 +14,8 @@
 //     judged on.
 //   - Micro: allocs/op and ns/op for the hot components (engine event
 //     queue, process handoff and spawn, bus transaction path, cache
-//     lookup, monitor check, store, telemetry), via testing.Benchmark
+//     lookup, trace-driven hit, monitor check, store, telemetry), via
+//     testing.Benchmark
 //     so the op counts are calibrated the same way `go test -bench`
 //     calibrates them.
 package perf
@@ -28,11 +29,13 @@ import (
 
 	"vmp/internal/bus"
 	"vmp/internal/cache"
+	"vmp/internal/core"
 	"vmp/internal/monitor"
 	"vmp/internal/scenario"
 	"vmp/internal/serve"
 	"vmp/internal/sim"
 	"vmp/internal/telemetry"
+	"vmp/internal/trace"
 	"vmp/internal/workload"
 )
 
@@ -140,6 +143,7 @@ func Collect() (*Snapshot, error) {
 		{"interconnect/local-hit", benchInterconnectLocal},
 		{"interconnect/cross-link", benchInterconnectCross},
 		{"cache/lookup", benchCache},
+		{"core/trace-hit", benchTraceHit},
 		{"monitor/check", benchMonitor},
 		{"serve/store-put", benchStorePut},
 		{"serve/store-get", benchStoreGet},
@@ -177,7 +181,9 @@ func benchEngine(b *testing.B) {
 
 // benchHandoff measures one Delay round trip through a parked
 // process: schedule the wake, switch to the engine, fire, switch back.
-// Every simulated reference pays it once.
+// A program-driven reference pays it once; a trace-driven reference
+// pays it only when it needs the miss handler or interrupt service
+// (see core/trace-hit).
 func benchHandoff(b *testing.B) {
 	eng := sim.NewEngine()
 	b.ReportAllocs()
@@ -247,6 +253,30 @@ func benchCache(b *testing.B) {
 			c.Fill(c.SuggestVictim(r.VAddr), r.ASID, r.VAddr, cache.UserRead|cache.UserWrite|cache.SupWrite)
 		}
 	}
+}
+
+// benchTraceHit measures one trace-driven reference that hits: its
+// tick event looks it up, fetches the next reference and schedules
+// that reference's tick, with no process switch. A one-reference run
+// fills the cache page first.
+func benchTraceHit(b *testing.B) {
+	m, err := core.NewMachine(core.Config{Processors: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	refs := make([]trace.Ref, b.N)
+	for i := range refs {
+		refs[i] = trace.Ref{Kind: trace.Read, ASID: 1, VAddr: workload.UserHeapBase}
+	}
+	if err := m.PrefaultTrace(refs[:1]); err != nil {
+		b.Fatal(err)
+	}
+	m.RunTrace(0, trace.NewSliceSource(refs[:1]))
+	m.Eng.Run()
+	m.RunTrace(0, trace.NewSliceSource(refs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	m.Eng.Run()
 }
 
 // benchFingerprints yields n distinct well-formed fingerprints.
