@@ -442,6 +442,48 @@ func TestTraceHitsSwitchOnlyForSlowReferences(t *testing.T) {
 	}
 }
 
+// TestPrefaultTraceFirstTouchOrder checks PrefaultTrace against the
+// loop it shortcuts, Prefault on every reference in order: both must
+// map every page to the same frame. The stream interleaves two address
+// spaces, so equal page numbers from both share a slot of the skip
+// cache.
+func TestPrefaultTraceFirstTouchOrder(t *testing.T) {
+	var spaces [2][]trace.Ref
+	for i := range spaces {
+		r, err := workload.Generate(workload.Edit, uint64(i+1), 20_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spaces[i] = r
+	}
+	var refs []trace.Ref
+	for i := range spaces[0] {
+		for s := range spaces {
+			r := spaces[s][i]
+			r.ASID = uint8(s + 1)
+			refs = append(refs, r)
+		}
+	}
+	fast, plain := newTestMachine(t, 1), newTestMachine(t, 1)
+	if err := fast.PrefaultTrace(refs); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range refs {
+		if err := plain.Prefault(r.ASID, []uint32{r.VAddr}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range refs {
+		super := r.VAddr >= vm.KernelBase
+		a, errA := fast.VM.Translate(r.ASID, r.VAddr, false, super)
+		b, errB := plain.VM.Translate(r.ASID, r.VAddr, false, super)
+		if errA != nil || errB != nil || a.PAddr != b.PAddr {
+			t.Fatalf("asid %d vaddr %#x: PrefaultTrace maps %#x (%v), in-order Prefault %#x (%v)",
+				r.ASID, r.VAddr, a.PAddr, errA, b.PAddr, errB)
+		}
+	}
+}
+
 func TestMultiprocessorSharedTrace(t *testing.T) {
 	// Several boards replaying write-sharing traces against one page:
 	// heavy contention, but the protocol must stay consistent.

@@ -389,17 +389,22 @@ func (m *Machine) Prefault(asid uint8, vaddrs []uint32) error {
 }
 
 // PrefaultTrace maps every page a trace touches, in first-touch order.
-// A reference on the same page as the one before it is skipped without
-// a map lookup.
 func (m *Machine) PrefaultTrace(refs []trace.Ref) error {
 	seen := make(map[uint64]bool)
-	last := ^uint64(0) // no page key: an ASID has 8 bits
+	// recent holds page keys already seen, indexed by their low bits, so
+	// that most references skip the map lookup. ^0 is no page key (an
+	// ASID has 8 bits).
+	var recent [64]uint64
+	for i := range recent {
+		recent[i] = ^uint64(0)
+	}
 	for _, r := range refs {
 		key := uint64(r.ASID)<<32 | uint64(r.VAddr/vm.PageSize)
-		if key == last {
+		slot := &recent[key%uint64(len(recent))]
+		if *slot == key {
 			continue
 		}
-		last = key
+		*slot = key
 		if seen[key] {
 			continue
 		}
