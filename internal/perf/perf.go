@@ -15,9 +15,8 @@
 //   - Micro: allocs/op and ns/op for the hot components (engine event
 //     queue, process handoff and spawn, bus transaction path, cache
 //     lookup, trace-driven hit, monitor check, store, telemetry), via
-//     testing.Benchmark
-//     so the op counts are calibrated the same way `go test -bench`
-//     calibrates them.
+//     testing.Benchmark so the op counts are calibrated the same way
+//     `go test -bench` calibrates them.
 package perf
 
 import (
