@@ -719,6 +719,7 @@ func (m *Machine) TotalStats() (cache.Stats, BoardStats) {
 		bs.InvalidationsIn += s.InvalidationsIn
 		bs.DowngradesIn += s.DowngradesIn
 		bs.WriteBacks += s.WriteBacks
+		bs.WriteBackRetries += s.WriteBackRetries
 		bs.Recoveries += s.Recoveries
 		bs.PageFaults += s.PageFaults
 		bs.ProtFaults += s.ProtFaults
