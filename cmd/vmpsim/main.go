@@ -34,9 +34,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -257,9 +259,10 @@ func main() {
 
 	if res.Spec.Faults != "" || res.Spec.Check {
 		ft := stats.NewTable("Fault injection & invariant watchdog", "Counter", "Value")
-		for _, mt := range m.Eng.Recorder().Snapshot() {
-			if strings.HasPrefix(mt.Name, "fault/") || strings.HasPrefix(mt.Name, "check/") {
-				ft.Add(mt.Name, mt.Value)
+		for _, prefix := range []string{"check/", "fault/"} {
+			g := m.Eng.Recorder().Group(prefix)
+			for _, name := range slices.Sorted(maps.Keys(g)) {
+				ft.Add(prefix+name, g[name])
 			}
 		}
 		fmt.Println(ft)

@@ -48,8 +48,9 @@ import (
 // segments; the deadlock-free lock order is frame busy bit, then link,
 // then one segment semaphore at a time.
 //
-// All counters live in the engine's per-run stats.Recorder under
-// "bus/..." names, so a run's metrics are collected in one sink.
+// The counters are plain fields, indexed in the engine's per-run
+// stats.Recorder under "bus/..." names, so a run's metrics are collected
+// in one sink.
 type Hierarchy struct {
 	eng      *sim.Engine
 	rec      *stats.Recorder
@@ -73,19 +74,16 @@ type Hierarchy struct {
 	// update and the filter read-back.
 	boardSnoop map[int]Snooper
 
-	tx        [numOps]*stats.Counter
-	aborts    *stats.Counter
-	xferErrs  *stats.Counter
-	busy      *stats.Counter // total segment occupancy, in sim.Time ns
-	bytes     *stats.Counter
-	linkBusy  *stats.Counter
-	linkCross *stats.Counter
-	linkAbort *stats.Counter
-	filtered  *stats.Counter // consistency transactions kept local by the filter
-	waits     *stats.Counter // busy-frame arbitration waits
+	// stats holds what Stats returns except Transactions, which Stats
+	// builds from tx; BusyTime is the total segment occupancy.
+	stats     Stats
+	tx        [numOps]uint64
+	xferErrs  uint64
+	linkStats LinkStats
 	// perBoard accumulates occupancy per requester (DMA under
-	// NoRequester is not tracked) under "bus/board<i>/busy-ns".
-	perBoard map[int]*stats.Counter
+	// NoRequester is not tracked) under "bus/board<i>/busy-ns",
+	// registered on first use.
+	perBoard map[int]*sim.Time
 }
 
 // segment is one local bus: its own arbiter (semaphore), its own
@@ -93,9 +91,9 @@ type Hierarchy struct {
 type segment struct {
 	sem      *sim.Semaphore
 	snoopers []Snooper
-	// busy is the segment's occupancy; nil on a single bus, where it
-	// would only repeat bus/busy-ns.
-	busy *stats.Counter
+	// busy is the segment's occupancy; it is registered only on a
+	// hierarchy, since on a single bus it would repeat bus/busy-ns.
+	busy sim.Time
 	// tag marks the segment's trace events in their ASID byte: 1+index
 	// on a hierarchy, 0 on a single bus, the encoding single-bus event
 	// streams have always had.
@@ -140,19 +138,19 @@ func NewHierarchy(eng *sim.Engine, topo Topology, pageSize int) *Hierarchy {
 		topo:       topo,
 		pageSize:   pageSize,
 		boardSnoop: make(map[int]Snooper),
-		aborts:     rec.Counter("bus/aborts"),
-		xferErrs:   rec.Counter("bus/transfer-errors"),
-		busy:       rec.Counter("bus/busy-ns"),
-		bytes:      rec.Counter("bus/bytes-moved"),
-		linkBusy:   rec.Counter("bus/link/busy-ns"),
-		linkCross:  rec.Counter("bus/link/crossings"),
-		linkAbort:  rec.Counter("bus/link/aborts"),
-		filtered:   rec.Counter("bus/link/filtered-local"),
-		waits:      rec.Counter("bus/frame-waits"),
-		perBoard:   make(map[int]*stats.Counter),
+		perBoard:   make(map[int]*sim.Time),
 	}
-	for op := 0; op < numOps; op++ {
-		h.tx[op] = rec.Counter("bus/tx/" + Op(op).String())
+	stats.Register(rec, "bus/aborts", &h.stats.Aborts)
+	stats.Register(rec, "bus/transfer-errors", &h.xferErrs)
+	stats.Register(rec, "bus/busy-ns", &h.stats.BusyTime)
+	stats.Register(rec, "bus/bytes-moved", &h.stats.BytesMoved)
+	stats.Register(rec, "bus/link/busy-ns", &h.linkStats.BusyTime)
+	stats.Register(rec, "bus/link/crossings", &h.linkStats.Crossings)
+	stats.Register(rec, "bus/link/aborts", &h.linkStats.Aborts)
+	stats.Register(rec, "bus/link/filtered-local", &h.linkStats.FilteredLocal)
+	stats.Register(rec, "bus/frame-waits", &h.linkStats.FrameWaits)
+	for op := range h.tx {
+		stats.Register(rec, "bus/tx/"+Op(op).String(), &h.tx[op])
 	}
 	if topo.SingleBus() {
 		h.segs = []*segment{{sem: sim.NewSemaphore(1)}}
@@ -161,11 +159,9 @@ func NewHierarchy(eng *sim.Engine, topo Topology, pageSize int) *Hierarchy {
 	h.link = sim.NewSemaphore(1)
 	h.dir = make(map[uint32]*dirEntry)
 	for i := 0; i < topo.Buses; i++ {
-		h.segs = append(h.segs, &segment{
-			sem:  sim.NewSemaphore(1),
-			busy: rec.Counter(fmt.Sprintf("bus/seg%d/busy-ns", i)),
-			tag:  uint8(1 + i),
-		})
+		seg := &segment{sem: sim.NewSemaphore(1), tag: uint8(1 + i)}
+		stats.Register(rec, fmt.Sprintf("bus/seg%d/busy-ns", i), &seg.busy)
+		h.segs = append(h.segs, seg)
 	}
 	return h
 }
@@ -205,18 +201,14 @@ func (h *Hierarchy) Attach(s Snooper) {
 // Stats implements Interconnect. BusyTime aggregates the occupancy of
 // every segment (link time is reported separately via LinkStats).
 func (h *Hierarchy) Stats() Stats {
-	cp := Stats{
-		Aborts:       uint64(h.aborts.Value()),
-		BusyTime:     sim.Time(h.busy.Value()),
-		BytesMoved:   uint64(h.bytes.Value()),
-		Transactions: make(map[Op]uint64),
-	}
-	for op := 0; op < numOps; op++ {
-		if v := h.tx[op].Value(); v > 0 {
-			cp.Transactions[Op(op)] = uint64(v)
+	st := h.stats
+	st.Transactions = make(map[Op]uint64)
+	for op, n := range h.tx {
+		if n > 0 {
+			st.Transactions[Op(op)] = n
 		}
 	}
-	return cp
+	return st
 }
 
 // LinkStats reports the inter-bus link counters; all zero on a single
@@ -237,15 +229,7 @@ type LinkStats struct {
 }
 
 // LinkStats returns the link-side counters.
-func (h *Hierarchy) LinkStats() LinkStats {
-	return LinkStats{
-		Crossings:     uint64(h.linkCross.Value()),
-		FilteredLocal: uint64(h.filtered.Value()),
-		Aborts:        uint64(h.linkAbort.Value()),
-		BusyTime:      sim.Time(h.linkBusy.Value()),
-		FrameWaits:    uint64(h.waits.Value()),
-	}
-}
+func (h *Hierarchy) LinkStats() LinkStats { return h.linkStats }
 
 // Utilization implements Interconnect: the mean per-segment
 // utilization, comparable to the queuing model's per-bus prediction.
@@ -253,27 +237,28 @@ func (h *Hierarchy) Utilization() float64 {
 	if h.eng.Now() == 0 {
 		return 0
 	}
-	return float64(h.busy.Value()) / (float64(h.eng.Now()) * float64(len(h.segs)))
+	return float64(h.stats.BusyTime) / (float64(h.eng.Now()) * float64(len(h.segs)))
 }
 
 // BoardBusyTime returns all interconnect occupancy (home segment,
 // remote probes, link packets) charged to a board.
 func (h *Hierarchy) BoardBusyTime(id int) sim.Time {
-	if c, ok := h.perBoard[id]; ok {
-		return sim.Time(c.Value())
+	if t, ok := h.perBoard[id]; ok {
+		return *t
 	}
 	return 0
 }
 
-// boardBusy returns (creating on first use) the occupancy counter for a
-// board.
-func (h *Hierarchy) boardBusy(id int) *stats.Counter {
-	c, ok := h.perBoard[id]
+// boardBusy returns (creating and registering on first use) the
+// occupancy counter for a board.
+func (h *Hierarchy) boardBusy(id int) *sim.Time {
+	t, ok := h.perBoard[id]
 	if !ok {
-		c = h.rec.Counter(fmt.Sprintf("bus/board%d/busy-ns", id))
-		h.perBoard[id] = c
+		t = new(sim.Time)
+		stats.Register(h.rec, fmt.Sprintf("bus/board%d/busy-ns", id), t)
+		h.perBoard[id] = t
 	}
-	return c
+	return t
 }
 
 // entry returns (creating on first touch) a frame's directory entry.
@@ -323,10 +308,10 @@ func (h *Hierarchy) segMask(s int) uint64 {
 //
 //vmplint:hotpath
 func (h *Hierarchy) charge(seg *segment, requester int, d sim.Time) {
-	seg.busy.Add(int64(d))
-	h.busy.Add(int64(d))
+	seg.busy += d
+	h.stats.BusyTime += d
 	if requester != NoRequester {
-		h.boardBusy(requester).Add(int64(d))
+		*h.boardBusy(requester) += d
 	}
 }
 
@@ -367,7 +352,7 @@ func (h *Hierarchy) Do(p *sim.Process, tx Transaction) Result {
 		// Another segment's transaction holds the frame: wait one
 		// arbitration slot and re-request. The holder never waits on a
 		// second frame, so this always drains.
-		h.waits.Inc()
+		h.linkStats.FrameWaits++
 		p.Delay(h.timing.ArbAddr)
 	}
 	e.busy = true
@@ -378,7 +363,7 @@ func (h *Hierarchy) Do(p *sim.Process, tx Transaction) Result {
 		if remote != 0 {
 			res = h.crossLink(p, tx, remote)
 		} else {
-			h.filtered.Inc()
+			h.linkStats.FilteredLocal++
 		}
 	}
 	res = h.commit(p, tx, home, res)
@@ -401,10 +386,10 @@ func (h *Hierarchy) crossLink(p *sim.Process, tx Transaction, mask uint64) Resul
 	var res Result
 	h.link.Acquire(p)
 	pkt := h.timing.ArbAddr + h.timing.FirstWord
-	h.linkBusy.Add(int64(pkt))
-	h.linkCross.Inc()
+	h.linkStats.BusyTime += pkt
+	h.linkStats.Crossings++
 	if tx.Requester != NoRequester {
-		h.boardBusy(tx.Requester).Add(int64(pkt))
+		*h.boardBusy(tx.Requester) += pkt
 	}
 	// Link-level fault injection reuses the transient-abort class: the
 	// broadcast is lost in link arbitration and the requester retries,
@@ -412,7 +397,7 @@ func (h *Hierarchy) crossLink(p *sim.Process, tx Transaction, mask uint64) Resul
 	if h.inj != nil && tx.Requester != NoRequester && h.inj.AbortTransient(tx.Op) {
 		res.Aborted = true
 		res.SpuriousAbort = true
-		h.linkAbort.Inc()
+		h.linkStats.Aborts++
 		h.emit(obs.KindLink, tx, pkt, 0, obs.FlagConsistency|obs.FlagAborted|obs.FlagSpurious)
 		p.Delay(pkt)
 		h.link.Release()
@@ -496,23 +481,23 @@ func (h *Hierarchy) commit(p *sim.Process, tx Transaction, home int, res Result)
 	switch {
 	case res.Aborted:
 		busy = h.timing.AbortTime()
-		h.aborts.Inc()
+		h.stats.Aborts++
 	case res.TransferErr:
 		// A failed transfer terminates like an abort — at the end of the
 		// memory reference in flight — with no table update and no data
 		// moved.
 		busy = h.timing.AbortTime()
-		h.xferErrs.Inc()
+		h.xferErrs++
 	default:
 		busy = h.timing.TransferTime(tx.Op, tx.Bytes)
-		h.bytes.Add(int64(tx.Bytes))
+		h.stats.BytesMoved += uint64(tx.Bytes)
 		if tx.Requester != NoRequester && (tx.Op.ConsistencyRelated() || tx.Op == WriteActionTable) {
 			if sn, ok := h.boardSnoop[tx.Requester]; ok {
 				sn.UpdateFromOwn(tx, res)
 			}
 		}
 	}
-	h.tx[tx.Op].Inc()
+	h.tx[tx.Op]++
 	h.charge(seg, tx.Requester, busy)
 	var fl uint8
 	if tx.Op.ConsistencyRelated() {

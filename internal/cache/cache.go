@@ -170,35 +170,16 @@ func (s Stats) MissRatio() float64 {
 	return float64(s.Misses+s.WriteMisses) / float64(total)
 }
 
-// cacheCounters is the recorder-backed counter set for one cache.
-type cacheCounters struct {
-	hits, misses, writeMisses, protFaults *stats.Counter
-	fills, invalidates, downgrades        *stats.Counter
-}
-
-func bindCacheCounters(rec *stats.Recorder, prefix string) cacheCounters {
-	return cacheCounters{
-		hits:        rec.Counter(prefix + "hits"),
-		misses:      rec.Counter(prefix + "misses"),
-		writeMisses: rec.Counter(prefix + "write-misses"),
-		protFaults:  rec.Counter(prefix + "prot-faults"),
-		fills:       rec.Counter(prefix + "fills"),
-		invalidates: rec.Counter(prefix + "invalidates"),
-		downgrades:  rec.Counter(prefix + "downgrades"),
-	}
-}
-
 // Cache is the cache hardware model. Create with New.
 type Cache struct {
 	cfg   Config
 	slots []slot // rows × assoc, row-major
 	tick  uint64
-	ctr   cacheCounters
+	stats Stats
 }
 
 // New builds a cache; it panics on an invalid geometry (a configuration
-// bug, not a runtime condition). The cache counts events into a private
-// recorder until BindRecorder attaches it to a run's sink.
+// bug, not a runtime condition).
 func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -206,43 +187,27 @@ func New(cfg Config) *Cache {
 	return &Cache{
 		cfg:   cfg,
 		slots: make([]slot, cfg.Slots()),
-		ctr:   bindCacheCounters(stats.NewRecorder(), "cache/"),
 	}
 }
 
-// BindRecorder re-registers the cache's event counters in a per-run
-// metrics sink under the given name prefix (e.g. "board0/cache/").
-// Call it before the simulation starts; counts already accumulated stay
-// behind in the previous sink.
-func (c *Cache) BindRecorder(rec *stats.Recorder, prefix string) {
-	c.ctr = bindCacheCounters(rec, prefix)
+// Register indexes the event counters in a run's metrics sink under
+// the given name prefix (e.g. "board0/cache/").
+func (c *Cache) Register(rec *stats.Recorder, prefix string) {
+	s := &c.stats
+	stats.Register(rec, prefix+"hits", &s.Hits)
+	stats.Register(rec, prefix+"misses", &s.Misses)
+	stats.Register(rec, prefix+"write-misses", &s.WriteMisses)
+	stats.Register(rec, prefix+"prot-faults", &s.ProtFaults)
+	stats.Register(rec, prefix+"fills", &s.Fills)
+	stats.Register(rec, prefix+"invalidates", &s.Invalidates)
+	stats.Register(rec, prefix+"downgrades", &s.Downgrades)
 }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a copy of the event counters.
-func (c *Cache) Stats() Stats {
-	return Stats{
-		Hits:        uint64(c.ctr.hits.Value()),
-		Misses:      uint64(c.ctr.misses.Value()),
-		WriteMisses: uint64(c.ctr.writeMisses.Value()),
-		ProtFaults:  uint64(c.ctr.protFaults.Value()),
-		Fills:       uint64(c.ctr.fills.Value()),
-		Invalidates: uint64(c.ctr.invalidates.Value()),
-		Downgrades:  uint64(c.ctr.downgrades.Value()),
-	}
-}
-
-// ResetStats zeroes the event counters (contents are untouched).
-func (c *Cache) ResetStats() {
-	for _, ctr := range []*stats.Counter{
-		c.ctr.hits, c.ctr.misses, c.ctr.writeMisses, c.ctr.protFaults,
-		c.ctr.fills, c.ctr.invalidates, c.ctr.downgrades,
-	} {
-		ctr.Reset()
-	}
-}
+func (c *Cache) Stats() Stats { return c.stats }
 
 // VPage converts a virtual address to its cache-page number.
 func (c *Cache) VPage(vaddr uint32) uint32 { return vaddr / uint32(c.cfg.PageSize) }
@@ -265,11 +230,11 @@ func (c *Cache) Lookup(asid uint8, vaddr uint32, acc Access) (SlotID, Result) {
 		}
 		id := SlotID(base + way)
 		if !c.permitted(s.Flags, acc) {
-			c.ctr.protFaults.Inc()
+			c.stats.ProtFaults++
 			return id, ProtFault
 		}
 		if acc.Write && !s.Flags.Has(Exclusive) {
-			c.ctr.writeMisses.Inc()
+			c.stats.WriteMisses++
 			return id, WriteMiss
 		}
 		c.tick++
@@ -277,10 +242,10 @@ func (c *Cache) Lookup(asid uint8, vaddr uint32, acc Access) (SlotID, Result) {
 		if acc.Write {
 			s.Flags |= Modified
 		}
-		c.ctr.hits.Inc()
+		c.stats.Hits++
 		return id, Hit
 	}
-	c.ctr.misses.Inc()
+	c.stats.Misses++
 	return -1, Miss
 }
 
@@ -332,13 +297,13 @@ func (c *Cache) Fill(id SlotID, asid uint8, vaddr uint32, flags Flags) {
 		Slot:    Slot{ASID: asid, VPage: vpage, Flags: flags | Valid},
 		lastUse: c.tick,
 	}
-	c.ctr.fills.Inc()
+	c.stats.Fills++
 }
 
 // Invalidate clears a slot.
 func (c *Cache) Invalidate(id SlotID) {
 	c.slots[id] = slot{}
-	c.ctr.invalidates.Inc()
+	c.stats.Invalidates++
 }
 
 // Downgrade clears Exclusive (and Modified) on a slot, making the copy
@@ -346,7 +311,7 @@ func (c *Cache) Invalidate(id SlotID) {
 // The caller must have written the page back if it was modified.
 func (c *Cache) Downgrade(id SlotID) {
 	c.slots[id].Flags &^= Exclusive | Modified
-	c.ctr.downgrades.Inc()
+	c.stats.Downgrades++
 }
 
 // ClearModified clears only the Modified bit (after a write-back that

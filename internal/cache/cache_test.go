@@ -254,10 +254,6 @@ func TestStatsAccounting(t *testing.T) {
 	if got := st.MissRatio(); got != 2.0/3.0 {
 		t.Errorf("MissRatio = %v", got)
 	}
-	c.ResetStats()
-	if c.Stats() != (Stats{}) {
-		t.Error("ResetStats did not zero")
-	}
 }
 
 func TestFlagsString(t *testing.T) {

@@ -126,12 +126,9 @@ type Watchdog struct {
 
 	violations []string
 
-	transactions *stats.Counter
-	abortedWB    *stats.Counter
-	phantomAb    *stats.Counter
-	unownedWB    *stats.Counter
-	tableCorr    *stats.Counter
-	repairs      *stats.Counter
+	// Counters, indexed in the run's metrics sink under "check/..."
+	// names.
+	transactions, abortedWB, phantomAb, unownedWB, tableCorr, repairs uint64
 }
 
 // maxViolations caps the recorded violation list (the count keeps
@@ -141,16 +138,14 @@ const maxViolations = 64
 // New creates a watchdog for a machine whose cache-page frames are
 // pageSize bytes, registering its counters under "check/..." names.
 func New(rec *stats.Recorder, pageSize int) *Watchdog {
-	return &Watchdog{
-		pageSize:     pageSize,
-		frames:       make(map[uint32]*shadowFrame),
-		transactions: rec.Counter("check/transactions"),
-		abortedWB:    rec.Counter("check/aborted-write-backs"),
-		phantomAb:    rec.Counter("check/phantom-aborts"),
-		unownedWB:    rec.Counter("check/unowned-write-backs"),
-		tableCorr:    rec.Counter("check/table-corruptions-detected"),
-		repairs:      rec.Counter("check/table-repairs"),
-	}
+	w := &Watchdog{pageSize: pageSize, frames: make(map[uint32]*shadowFrame)}
+	stats.Register(rec, "check/transactions", &w.transactions)
+	stats.Register(rec, "check/aborted-write-backs", &w.abortedWB)
+	stats.Register(rec, "check/phantom-aborts", &w.phantomAb)
+	stats.Register(rec, "check/unowned-write-backs", &w.unownedWB)
+	stats.Register(rec, "check/table-corruptions-detected", &w.tableCorr)
+	stats.Register(rec, "check/table-repairs", &w.repairs)
+	return w
 }
 
 // Attach registers a board's view for the quiescent sweep.
@@ -185,7 +180,7 @@ func (w *Watchdog) violate(format string, args ...interface{}) {
 // corrupt records a corruption finding: a detection when the fault plan
 // injects flips, a violation otherwise.
 func (w *Watchdog) corrupt(format string, args ...interface{}) {
-	w.tableCorr.Inc()
+	w.tableCorr++
 	if !w.expectCorruption {
 		w.violate(format, args...)
 	}
@@ -207,7 +202,7 @@ func (w *Watchdog) OnTransaction(tx bus.Transaction, res bus.Result) {
 	if !tx.Op.ConsistencyRelated() && tx.Op != bus.WriteActionTable {
 		return
 	}
-	w.transactions.Inc()
+	w.transactions++
 	f := tx.PAddr / uint32(w.pageSize)
 
 	if res.Aborted {
@@ -288,7 +283,7 @@ func (w *Watchdog) OnTransaction(tx bus.Transaction, res bus.Result) {
 		// Only the owner may write main memory: the guard that keeps the
 		// flat-memory data oracle current.
 		if sf.owner != tx.Requester {
-			w.unownedWB.Inc()
+			w.unownedWB++
 			w.violate("write-back of frame %d by board %d which does not own it (owner %d)",
 				f, tx.Requester, sf.owner)
 		}
@@ -333,7 +328,7 @@ func (w *Watchdog) observeAbort(tx bus.Transaction, res bus.Result, f uint32) {
 	sf := w.frames[f]
 	switch tx.Op {
 	case bus.WriteBack:
-		w.abortedWB.Inc()
+		w.abortedWB++
 		// Legal only from a stale Shared entry (or a competing owner's
 		// Private entry, itself a violation caught on the success path):
 		// some foreign board must hold a shadow role on the frame.
@@ -347,7 +342,7 @@ func (w *Watchdog) observeAbort(tx bus.Transaction, res bus.Result, f uint32) {
 				return
 			}
 		}
-		w.phantomAb.Inc()
+		w.phantomAb++
 		w.corrupt("write-back of frame %d by board %d aborted with no stale sharer on record",
 			f, tx.Requester)
 	case bus.ReadShared, bus.ReadPrivate, bus.AssertOwnership, bus.Notify, bus.ReadExclusive:
@@ -355,7 +350,7 @@ func (w *Watchdog) observeAbort(tx bus.Transaction, res bus.Result, f uint32) {
 		// shadow records as an owner (possibly the requester itself: the
 		// own-alias abort).
 		if sf == nil || sf.owner == -1 {
-			w.phantomAb.Inc()
+			w.phantomAb++
 			w.corrupt("%v of frame %d by board %d aborted with no owner on record",
 				tx.Op, f, tx.Requester)
 		}
@@ -434,5 +429,5 @@ func (w *Watchdog) repair(v BoardView, f uint32, a monitor.Action) {
 		return
 	}
 	v.RepairAction(f, a)
-	w.repairs.Inc()
+	w.repairs++
 }

@@ -36,8 +36,8 @@ type Copier struct {
 	done   sim.Signal
 	result bus.Result
 
-	ctr  copierCounters
-	sink *obs.Sink
+	stats Stats
+	sink  *obs.Sink
 }
 
 // Stats counts copier activity.
@@ -50,42 +50,23 @@ type Stats struct {
 	BusTime        sim.Time
 }
 
-// copierCounters is the recorder-backed counter set for one copier,
-// registered in the per-run metrics sink like every other component.
-type copierCounters struct {
-	transfers, aborted, reissues, xferErrs, bytesMoved, busTime *stats.Counter
-}
-
 // New creates a copier for the given board, registering its counters in
 // the engine's per-run recorder under "board<i>/copier/...".
 func New(eng *sim.Engine, b bus.Interconnect, boardID int) *Copier {
+	c := &Copier{eng: eng, bus: b, boardID: boardID}
+	rec, s := eng.Recorder(), &c.stats
 	prefix := fmt.Sprintf("board%d/copier/", boardID)
-	rec := eng.Recorder()
-	return &Copier{
-		eng: eng, bus: b, boardID: boardID,
-		ctr: copierCounters{
-			transfers:  rec.Counter(prefix + "transfers"),
-			aborted:    rec.Counter(prefix + "aborted"),
-			reissues:   rec.Counter(prefix + "reissues"),
-			xferErrs:   rec.Counter(prefix + "transfer-errors"),
-			bytesMoved: rec.Counter(prefix + "bytes-moved"),
-			busTime:    rec.Counter(prefix + "bus-time-ns"),
-		},
-	}
+	stats.Register(rec, prefix+"transfers", &s.Transfers)
+	stats.Register(rec, prefix+"aborted", &s.Aborted)
+	stats.Register(rec, prefix+"reissues", &s.Reissues)
+	stats.Register(rec, prefix+"transfer-errors", &s.TransferErrors)
+	stats.Register(rec, prefix+"bytes-moved", &s.BytesMoved)
+	stats.Register(rec, prefix+"bus-time-ns", &s.BusTime)
+	return c
 }
 
-// Stats returns a copy of the counters, reconstructed from the per-run
-// metrics sink.
-func (c *Copier) Stats() Stats {
-	return Stats{
-		Transfers:      uint64(c.ctr.transfers.Value()),
-		Aborted:        uint64(c.ctr.aborted.Value()),
-		Reissues:       uint64(c.ctr.reissues.Value()),
-		TransferErrors: uint64(c.ctr.xferErrs.Value()),
-		BytesMoved:     uint64(c.ctr.bytesMoved.Value()),
-		BusTime:        sim.Time(c.ctr.busTime.Value()),
-	}
-}
+// Stats returns a copy of the counters.
+func (c *Copier) Stats() Stats { return c.stats }
 
 // SetSink attaches the observability sink; every transfer then emits a
 // KindCopy event spanning its start to completion, re-issues included.
@@ -108,14 +89,14 @@ func (c *Copier) Start(tx bus.Transaction) {
 		start := p.Now()
 		reissued := false
 		res := c.bus.Do(p, tx)
-		c.ctr.transfers.Inc()
+		c.stats.Transfers++
 		// A transfer error has no protocol side effects, so the copier
 		// re-issues the identical transaction after a bounded,
 		// deterministic exponential backoff. An abort is different: it has
 		// a protocol cause the miss handler must resolve, so it is
 		// reported up instead of retried here.
 		for attempt := 0; res.TransferErr; attempt++ {
-			c.ctr.xferErrs.Inc()
+			c.stats.TransferErrors++
 			reissued = true
 			if attempt == maxReissues {
 				panic(fmt.Sprintf("copier: board %d transfer %v paddr %#x failed %d times",
@@ -126,15 +107,15 @@ func (c *Copier) Start(tx bus.Transaction) {
 				shift = reissueShiftCap
 			}
 			p.Delay(c.bus.Timing().ArbAddr << shift)
-			c.ctr.reissues.Inc()
+			c.stats.Reissues++
 			res = c.bus.Do(p, tx)
-			c.ctr.transfers.Inc()
+			c.stats.Transfers++
 		}
-		c.ctr.busTime.Add(int64(p.Now() - start))
+		c.stats.BusTime += p.Now() - start
 		if res.Aborted {
-			c.ctr.aborted.Inc()
+			c.stats.Aborted++
 		} else {
-			c.ctr.bytesMoved.Add(int64(tx.Bytes))
+			c.stats.BytesMoved += uint64(tx.Bytes)
 		}
 		if c.sink != nil {
 			var fl uint8

@@ -55,38 +55,6 @@ type BoardStats struct {
 	IntrTime         sim.Time // total time spent servicing consistency interrupts
 }
 
-// boardCounters is the recorder-backed counter set behind BoardStats.
-// All counters live in the run's stats.Recorder under "board<i>/..."
-// names, next to the board's cache and monitor counters.
-type boardCounters struct {
-	refs, retries, intrWords, staleWords     *stats.Counter
-	invalidationsIn, downgradesIn            *stats.Counter
-	writeBacks, writeBackRetries, recoveries *stats.Counter
-	pageFaults, protFaults, violations       *stats.Counter
-	synonymFills                             *stats.Counter
-	missTimeNs, intrTimeNs                   *stats.Counter
-}
-
-func bindBoardCounters(rec *stats.Recorder, prefix string) boardCounters {
-	return boardCounters{
-		refs:             rec.Counter(prefix + "refs"),
-		retries:          rec.Counter(prefix + "retries"),
-		intrWords:        rec.Counter(prefix + "intr-words"),
-		staleWords:       rec.Counter(prefix + "stale-words"),
-		invalidationsIn:  rec.Counter(prefix + "invalidations-in"),
-		downgradesIn:     rec.Counter(prefix + "downgrades-in"),
-		writeBacks:       rec.Counter(prefix + "write-backs"),
-		writeBackRetries: rec.Counter(prefix + "write-back-retries"),
-		recoveries:       rec.Counter(prefix + "recoveries"),
-		pageFaults:       rec.Counter(prefix + "page-faults"),
-		protFaults:       rec.Counter(prefix + "prot-faults"),
-		violations:       rec.Counter(prefix + "violations"),
-		synonymFills:     rec.Counter(prefix + "synonym-fills"),
-		missTimeNs:       rec.Counter(prefix + "miss-time-ns"),
-		intrTimeNs:       rec.Counter(prefix + "intr-time-ns"),
-	}
-}
-
 // Board is one VMP processor board: CPU timing state, virtually
 // addressed cache, bus monitor, block copier, and the cache-management
 // software's local-memory tables.
@@ -126,16 +94,18 @@ type Board struct {
 	// every emission site below is guarded by one nil check).
 	sink *obs.Sink
 
-	ctr boardCounters
+	// stats is indexed in the run's Recorder under "board<i>/..." names,
+	// next to the board's cache, monitor and copier counters.
+	stats BoardStats
 }
 
 func newBoard(m *Machine, id int) *Board {
 	rec := m.Eng.Recorder()
 	prefix := fmt.Sprintf("board%d/", id)
 	c := cache.New(m.cfg.Cache)
-	c.BindRecorder(rec, prefix+"cache/")
+	c.Register(rec, prefix+"cache/")
 	mon := monitor.New(id, m.Mem.Frames(), m.cfg.Cache.PageSize, m.cfg.FIFODepth, m.proto)
-	mon.BindRecorder(rec, prefix+"monitor/")
+	mon.Register(rec, prefix+"monitor/")
 	b := &Board{
 		ID:        id,
 		m:         m,
@@ -148,8 +118,8 @@ func newBoard(m *Machine, id int) *Board {
 		protected: make(map[uint32]bool),
 		missHist:  stats.NewHistogram(1, 1024), // µs
 		sink:      m.sink,
-		ctr:       bindBoardCounters(rec, prefix),
 	}
+	b.register(rec, prefix)
 	b.Mon.SetSink(m.sink)
 	b.Cop.SetSink(m.sink)
 	b.Mon.SetInterruptLine(func() { b.intrSig.Broadcast() })
@@ -157,26 +127,28 @@ func newBoard(m *Machine, id int) *Board {
 	return b
 }
 
-// Stats returns a copy of the board counters.
-func (b *Board) Stats() BoardStats {
-	return BoardStats{
-		Refs:             uint64(b.ctr.refs.Value()),
-		Retries:          uint64(b.ctr.retries.Value()),
-		IntrWords:        uint64(b.ctr.intrWords.Value()),
-		StaleWords:       uint64(b.ctr.staleWords.Value()),
-		InvalidationsIn:  uint64(b.ctr.invalidationsIn.Value()),
-		DowngradesIn:     uint64(b.ctr.downgradesIn.Value()),
-		WriteBacks:       uint64(b.ctr.writeBacks.Value()),
-		WriteBackRetries: uint64(b.ctr.writeBackRetries.Value()),
-		Recoveries:       uint64(b.ctr.recoveries.Value()),
-		PageFaults:       uint64(b.ctr.pageFaults.Value()),
-		ProtFaults:       uint64(b.ctr.protFaults.Value()),
-		SynonymFills:     uint64(b.ctr.synonymFills.Value()),
-		Violations:       uint64(b.ctr.violations.Value()),
-		MissTime:         sim.Time(b.ctr.missTimeNs.Value()),
-		IntrTime:         sim.Time(b.ctr.intrTimeNs.Value()),
-	}
+// register indexes the board counters in the run's metrics sink.
+func (b *Board) register(rec *stats.Recorder, prefix string) {
+	s := &b.stats
+	stats.Register(rec, prefix+"refs", &s.Refs)
+	stats.Register(rec, prefix+"retries", &s.Retries)
+	stats.Register(rec, prefix+"intr-words", &s.IntrWords)
+	stats.Register(rec, prefix+"stale-words", &s.StaleWords)
+	stats.Register(rec, prefix+"invalidations-in", &s.InvalidationsIn)
+	stats.Register(rec, prefix+"downgrades-in", &s.DowngradesIn)
+	stats.Register(rec, prefix+"write-backs", &s.WriteBacks)
+	stats.Register(rec, prefix+"write-back-retries", &s.WriteBackRetries)
+	stats.Register(rec, prefix+"recoveries", &s.Recoveries)
+	stats.Register(rec, prefix+"page-faults", &s.PageFaults)
+	stats.Register(rec, prefix+"prot-faults", &s.ProtFaults)
+	stats.Register(rec, prefix+"violations", &s.Violations)
+	stats.Register(rec, prefix+"synonym-fills", &s.SynonymFills)
+	stats.Register(rec, prefix+"miss-time-ns", &s.MissTime)
+	stats.Register(rec, prefix+"intr-time-ns", &s.IntrTime)
 }
+
+// Stats returns a copy of the board counters.
+func (b *Board) Stats() BoardStats { return b.stats }
 
 // MissLatency returns the histogram of miss-handler elapsed times in
 // microseconds (top-level misses only; nested page-table fills are
@@ -218,7 +190,7 @@ func (b *Board) retryBackoff(attempt int) sim.Time {
 func (b *Board) noteRetry(n int) {
 	pol := b.m.cfg.Retry
 	if n == pol.StarveThreshold {
-		b.m.starve.Inc()
+		b.m.starve++
 	}
 	if n >= pol.HardLimit {
 		// Leave the last events on record before dying: a livelock's cause
@@ -267,7 +239,7 @@ func (b *Board) Access(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acces
 //
 //vmplint:hotpath
 func (b *Board) beginAccess(asid uint8, vaddr uint32, acc cache.Access) (res cache.Result, looked bool) {
-	b.ctr.refs.Inc()
+	b.stats.Refs++
 	if b.Mon.Pending() > 0 || b.Mon.Dropped() {
 		return res, false
 	}
@@ -306,7 +278,7 @@ func (b *Board) finishAccess(p *sim.Process, asid uint8, vaddr uint32, acc cache
 				b.noteRetry(attempt)
 			}
 		case cache.ProtFault:
-			b.ctr.protFaults.Inc()
+			b.stats.ProtFaults++
 			return fmt.Errorf("core: protection fault board=%d asid=%d vaddr=%#x", b.ID, asid, vaddr)
 		}
 		_, res = b.Cache.Lookup(asid, vaddr, acc)
@@ -343,7 +315,7 @@ func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acc
 	start := p.Now()
 	defer func() {
 		d := p.Now() - start
-		b.ctr.missTimeNs.Add(int64(d))
+		b.stats.MissTime += d
 		b.missHist.Add(d.Micros())
 		if b.sink != nil {
 			var fl uint8
@@ -414,7 +386,7 @@ func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acc
 		// Ownership conflict: the owner was interrupted and will
 		// release the page. Re-trap, service our own interrupts (we may
 		// be the owner under an alias, or hold a stale entry), retry.
-		b.ctr.retries.Inc()
+		b.stats.Retries++
 		ts = p.Now()
 		p.Delay(b.retryBackoff(attempt))
 		b.resolveOwnConflict(p, frame)
@@ -492,7 +464,7 @@ func (b *Board) attachSynonym(p *sim.Process, victim cache.SlotID, asid uint8, v
 		return false
 	}
 	p.Delay(b.timing().Handler.BookkeepRead)
-	b.ctr.synonymFills.Inc()
+	b.stats.SynonymFills++
 
 	if fi.state == psPrivate {
 		old := fi.slots[0]
@@ -549,7 +521,7 @@ func (b *Board) translate(p *sim.Process, asid uint8, vaddr uint32, acc cache.Ac
 			return vm.Walk{}, err
 		}
 		// Demand-zero page fault (operating-system service).
-		b.ctr.pageFaults.Inc()
+		b.stats.PageFaults++
 		p.Delay(t.PageFault)
 		res, ferr := b.m.VM.HandleFault(asid, vaddr, acc.Write, acc.Super, b.m.cfg.Policy)
 		if ferr != nil {
@@ -597,7 +569,7 @@ func (b *Board) missFillNested(p *sim.Process, asid uint8, vaddr uint32, acc cac
 	start := p.Now()
 	defer func() {
 		d := p.Now() - start
-		b.ctr.missTimeNs.Add(int64(d))
+		b.stats.MissTime += d
 		if b.sink != nil {
 			fl := uint8(obs.FlagNested)
 			if retried {
@@ -627,7 +599,7 @@ func (b *Board) missFillNested(p *sim.Process, asid uint8, vaddr uint32, acc cac
 	b.Cop.Start(bus.Transaction{Op: bus.ReadShared, PAddr: b.frameAddr(frame), Bytes: b.pageSize()})
 	p.Delay(t.Handler.BookkeepRead)
 	if res := b.Cop.Wait(p); res.Aborted {
-		b.ctr.retries.Inc()
+		b.stats.Retries++
 		p.Delay(b.retryBackoff(attempt))
 		b.resolveOwnConflict(p, frame)
 		b.ServiceInterrupts(p)
@@ -672,14 +644,14 @@ func (b *Board) evict(p *sim.Process, victim cache.SlotID) {
 		// entry (left by its own lazy clean eviction); the abort posts
 		// that board a violation word, it clears the entry, and our
 		// retry goes through.
-		b.ctr.writeBacks.Inc()
+		b.stats.WriteBacks++
 		ts := p.Now()
 		b.Cop.Start(bus.Transaction{Op: bus.WriteBack, PAddr: b.frameAddr(frame), Bytes: b.pageSize()})
 		p.Delay(b.timing().Handler.BookkeepWB)
 		res := b.Cop.Wait(p)
 		wbRetried := res.Aborted
 		for attempt := 0; res.Aborted; attempt++ {
-			b.ctr.writeBackRetries.Inc()
+			b.stats.WriteBackRetries++
 			b.noteRetry(attempt + 1)
 			p.Delay(b.retryBackoff(attempt))
 			res = b.Cop.Run(p, bus.Transaction{Op: bus.WriteBack, PAddr: b.frameAddr(frame), Bytes: b.pageSize()})
@@ -737,7 +709,7 @@ func (b *Board) upgradeOwnership(p *sim.Process, asid uint8, vaddr uint32, attem
 	start := p.Now()
 	var upPA uint32
 	defer func() {
-		b.ctr.missTimeNs.Add(int64(p.Now() - start))
+		b.stats.MissTime += p.Now() - start
 		if b.sink != nil {
 			var fl uint8
 			if retried {
@@ -763,7 +735,7 @@ func (b *Board) upgradeOwnership(p *sim.Process, asid uint8, vaddr uint32, attem
 		Op: b.proto.UpgradeOp(), PAddr: b.frameAddr(frame), Requester: b.ID,
 	})
 	if res.Aborted {
-		b.ctr.retries.Inc()
+		b.stats.Retries++
 		p.Delay(b.retryBackoff(attempt))
 		b.ServiceInterrupts(p)
 		p.Delay(t.Handler.Epilogue)
@@ -843,7 +815,7 @@ func (b *Board) releaseOwnership(p *sim.Process, frame uint32, fi *frameInfo, ke
 	paddr := b.frameAddr(frame)
 
 	if st.Flags.Has(cache.Modified) {
-		b.ctr.writeBacks.Inc()
+		b.stats.WriteBacks++
 		ts := p.Now()
 		wbRetried := false
 		tx := bus.Transaction{
@@ -853,7 +825,7 @@ func (b *Board) releaseOwnership(p *sim.Process, frame uint32, fi *frameInfo, ke
 			// Spurious abort from a stale foreign Shared entry; that
 			// board clears it on the violation word and we retry.
 			wbRetried = true
-			b.ctr.writeBackRetries.Inc()
+			b.stats.WriteBackRetries++
 			b.noteRetry(attempt + 1)
 			p.Delay(b.retryBackoff(attempt))
 		}
@@ -879,14 +851,14 @@ func (b *Board) releaseOwnership(p *sim.Process, frame uint32, fi *frameInfo, ke
 	if keepShared {
 		b.Cache.Downgrade(slot)
 		fi.state = psShared
-		b.ctr.downgradesIn.Inc()
+		b.stats.DowngradesIn++
 		if b.m.checker != nil {
 			b.m.checker.downgraded(b.ID, frame)
 		}
 	} else {
 		b.Cache.Invalidate(slot)
 		b.detachSlot(frame, fi, slot)
-		b.ctr.invalidationsIn.Inc()
+		b.stats.InvalidationsIn++
 		if b.m.checker != nil {
 			b.m.checker.released(b.ID, frame)
 		}
@@ -961,7 +933,7 @@ func (b *Board) assertFlushKeep(p *sim.Process, paddr uint32) {
 		if !res.Aborted {
 			return
 		}
-		b.ctr.retries.Inc()
+		b.stats.Retries++
 		b.noteRetry(attempt + 1)
 		p.Delay(b.retryBackoff(attempt))
 		// Our own stale Private entry can be the abort cause (a clean
@@ -992,11 +964,11 @@ func (b *Board) ServiceInterrupts(p *sim.Process) {
 			if !ok {
 				break
 			}
-			b.ctr.intrWords.Inc()
+			b.stats.IntrWords++
 			start := p.Now()
 			p.Delay(b.timing().Handler.Interrupt)
 			b.handleWord(p, w)
-			b.ctr.intrTimeNs.Add(int64(p.Now() - start))
+			b.stats.IntrTime += p.Now() - start
 			if b.sink != nil {
 				b.emitPhase(obs.PhaseIntrSvc, start, p.Now()-start, 0, w.PAddr, 0)
 			}
@@ -1029,7 +1001,7 @@ func (b *Board) handleWord(p *sim.Process, w monitor.Word) {
 	if fi == nil {
 		// Stale word: we no longer hold the frame but our table entry
 		// still reacts. Clear it so requesters stop tripping over us.
-		b.ctr.staleWords.Inc()
+		b.stats.StaleWords++
 		act := b.Mon.Action(w.PAddr)
 		if act == monitor.Shared || act == monitor.Private {
 			b.m.Bus.Do(p, bus.Transaction{
@@ -1056,7 +1028,7 @@ func (b *Board) handleWord(p *sim.Process, w monitor.Word) {
 				b.Cache.Invalidate(s)
 				b.detachSlot(frame, fi, s)
 			}
-			b.ctr.invalidationsIn.Inc()
+			b.stats.InvalidationsIn++
 			b.m.Bus.Do(p, bus.Transaction{
 				Op: bus.WriteActionTable, PAddr: w.PAddr, Requester: b.ID, Action: uint8(monitor.Ignore),
 			})
@@ -1073,12 +1045,12 @@ func (b *Board) handleWord(p *sim.Process, w monitor.Word) {
 				b.Cache.Invalidate(sl)
 				b.detachSlot(frame, fi, sl)
 			}
-			b.ctr.invalidationsIn.Inc()
+			b.stats.InvalidationsIn++
 			b.m.Bus.Do(p, bus.Transaction{
 				Op: bus.WriteActionTable, PAddr: w.PAddr, Requester: b.ID, Action: uint8(monitor.Ignore),
 			})
 		} else {
-			b.ctr.violations.Inc()
+			b.stats.Violations++
 		}
 	}
 }
@@ -1090,7 +1062,7 @@ func (b *Board) handleWord(p *sim.Process, w monitor.Word) {
 // for them were aborted and will be retried, and any words still queued
 // are serviced by the caller after the sweep.
 func (b *Board) recoverOverflow(p *sim.Process) {
-	b.ctr.recoveries.Inc()
+	b.stats.Recoveries++
 	b.Mon.ClearDropped()
 
 	framesSorted := make([]uint32, 0, len(b.frames))

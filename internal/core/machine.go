@@ -168,7 +168,7 @@ type Machine struct {
 	inj      *fault.Injector
 	watch    *check.Watchdog
 	sink     *obs.Sink
-	starve   *stats.Counter
+	starve   uint64 // starvation events, "check/starvation-events"
 	draining bool
 
 	activeDrivers int
@@ -231,7 +231,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if !cfg.DisableChecker {
 		m.checker = newChecker()
 	}
-	m.starve = eng.Recorder().Counter("check/starvation-events")
+	stats.Register(eng.Recorder(), "check/starvation-events", &m.starve)
 	for i := 0; i < cfg.Processors; i++ {
 		m.Boards = append(m.Boards, newBoard(m, i))
 	}

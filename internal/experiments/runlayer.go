@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"time"
 
 	"vmp/internal/core"
@@ -52,22 +51,21 @@ func (t *engineTrack) metrics(wall time.Duration) Metrics {
 			m.MaxQueueDepth = em.MaxQueueDepth
 		}
 		m.Engines++
-		for _, met := range e.Recorder().Snapshot() {
-			switch {
-			case strings.HasPrefix(met.Name, "fault/"):
-				if m.FaultCounters == nil {
-					m.FaultCounters = make(map[string]int64)
-				}
-				m.FaultCounters[strings.TrimPrefix(met.Name, "fault/")] += met.Value
-			case strings.HasPrefix(met.Name, "check/"):
-				if m.CheckCounters == nil {
-					m.CheckCounters = make(map[string]int64)
-				}
-				m.CheckCounters[strings.TrimPrefix(met.Name, "check/")] += met.Value
-			}
-		}
+		m.FaultCounters = addGroup(m.FaultCounters, e.Recorder().Group("fault/"))
+		m.CheckCounters = addGroup(m.CheckCounters, e.Recorder().Group("check/"))
 	}
 	return m
+}
+
+// addGroup adds each counter of g into sum, which is made on first use.
+func addGroup(sum, g map[string]int64) map[string]int64 {
+	for name, v := range g {
+		if sum == nil {
+			sum = make(map[string]int64)
+		}
+		sum[name] += v
+	}
+	return sum
 }
 
 // SimNsPerWallMs reports simulated nanoseconds advanced per wall-clock

@@ -164,12 +164,9 @@ type Injector struct {
 	spec Spec
 	rnd  *sim.Rand
 
-	aborts    *stats.Counter
-	copyErrs  *stats.Counter
-	storms    *stats.Counter
-	stormWds  *stats.Counter
-	flips     *stats.Counter
-	flipSkips *stats.Counter
+	// Counters, indexed in the run's metrics sink under "fault/..."
+	// names.
+	aborts, copyErrs, storms, stormWords, flips, flipSkips uint64
 }
 
 // NewInjector builds an injector for one run, registering its counters
@@ -178,16 +175,14 @@ func NewInjector(spec Spec, seed uint64, rec *stats.Recorder) *Injector {
 	if spec.StormMax <= 0 {
 		spec.StormMax = 3
 	}
-	return &Injector{
-		spec:      spec,
-		rnd:       sim.NewRand(seed ^ 0xfa17fa17fa17fa17),
-		aborts:    rec.Counter("fault/injected-aborts"),
-		copyErrs:  rec.Counter("fault/transfer-errors"),
-		storms:    rec.Counter("fault/storms"),
-		stormWds:  rec.Counter("fault/storm-words"),
-		flips:     rec.Counter("fault/table-flips"),
-		flipSkips: rec.Counter("fault/table-flips-skipped"),
-	}
+	i := &Injector{spec: spec, rnd: sim.NewRand(seed ^ 0xfa17fa17fa17fa17)}
+	stats.Register(rec, "fault/injected-aborts", &i.aborts)
+	stats.Register(rec, "fault/transfer-errors", &i.copyErrs)
+	stats.Register(rec, "fault/storms", &i.storms)
+	stats.Register(rec, "fault/storm-words", &i.stormWords)
+	stats.Register(rec, "fault/table-flips", &i.flips)
+	stats.Register(rec, "fault/table-flips-skipped", &i.flipSkips)
+	return i
 }
 
 // Spec returns the injector's fault plan.
@@ -218,7 +213,7 @@ func (i *Injector) AbortTransient(op bus.Op) bool {
 	if !i.rnd.Bool(i.spec.AbortRate) {
 		return false
 	}
-	i.aborts.Inc()
+	i.aborts++
 	return true
 }
 
@@ -231,7 +226,7 @@ func (i *Injector) TransferError(op bus.Op) bool {
 	if !i.rnd.Bool(i.spec.CopyErrRate) {
 		return false
 	}
-	i.copyErrs.Inc()
+	i.copyErrs++
 	return true
 }
 
@@ -242,8 +237,8 @@ func (i *Injector) StormExtra() int {
 		return 0
 	}
 	n := 1 + i.rnd.Intn(i.spec.StormMax)
-	i.storms.Inc()
-	i.stormWds.Add(int64(n))
+	i.storms++
+	i.stormWords += uint64(n)
 	return n
 }
 
@@ -262,9 +257,9 @@ func (i *Injector) TableFlip(nBoards int) (board, bit int, ok bool) {
 }
 
 // FlipApplied records that a decided flip was applied.
-func (i *Injector) FlipApplied() { i.flips.Inc() }
+func (i *Injector) FlipApplied() { i.flips++ }
 
 // FlipSkipped records that a decided flip was suppressed because the
 // target entry was in a state whose corruption is fatal by design
 // (Private or Notify) or belonged to the in-flight requester.
-func (i *Injector) FlipSkipped() { i.flipSkips.Inc() }
+func (i *Injector) FlipSkipped() { i.flipSkips++ }

@@ -67,20 +67,6 @@ type Stats struct {
 	Dropped    uint64 // words lost to FIFO overflow
 }
 
-// monitorCounters is the recorder-backed counter set for one monitor.
-type monitorCounters struct {
-	checks, aborts, interrupts, droppedWords *stats.Counter
-}
-
-func bindMonitorCounters(rec *stats.Recorder, prefix string) monitorCounters {
-	return monitorCounters{
-		checks:       rec.Counter(prefix + "checks"),
-		aborts:       rec.Counter(prefix + "aborts"),
-		interrupts:   rec.Counter(prefix + "interrupts"),
-		droppedWords: rec.Counter(prefix + "dropped-words"),
-	}
-}
-
 // PostInjector is the fault-injection hook for interrupt-word storms:
 // StormExtra returns how many duplicate copies of a posted word to
 // enqueue after it (0 = none).
@@ -99,7 +85,7 @@ type Monitor struct {
 	head, n  int
 	cap      int // effective capacity: min(len(fifo), depth limit)
 	dropped  bool
-	ctr      monitorCounters
+	stats    Stats
 	onPost   func()       // interrupt line to the processor, may be nil
 	inj      PostInjector // storm injection, may be nil
 	sink     *obs.Sink    // observability sink, may be nil
@@ -109,8 +95,6 @@ type Monitor struct {
 // frames cache page frames of pageSize bytes each, with the given FIFO
 // depth (0 selects DefaultFIFODepth), reacting to bus traffic per the
 // given protocol's reaction table (nil selects the default protocol).
-// The monitor counts events into a private recorder until BindRecorder
-// attaches it to a run's sink.
 func New(boardID, frames, pageSize, fifoDepth int, proto protocol.Protocol) *Monitor {
 	if fifoDepth <= 0 {
 		fifoDepth = DefaultFIFODepth
@@ -126,7 +110,6 @@ func New(boardID, frames, pageSize, fifoDepth int, proto protocol.Protocol) *Mon
 		frames:   frames,
 		fifo:     make([]Word, fifoDepth),
 		cap:      fifoDepth,
-		ctr:      bindMonitorCounters(stats.NewRecorder(), "monitor/"),
 	}
 }
 
@@ -150,11 +133,14 @@ func (m *Monitor) SetInjector(inj PostInjector) { m.inj = inj }
 // with the sink's clock (the monitor has none of its own).
 func (m *Monitor) SetSink(s *obs.Sink) { m.sink = s }
 
-// BindRecorder re-registers the monitor's counters in a per-run metrics
-// sink under the given name prefix (e.g. "board0/monitor/"). Call it
-// before the simulation starts.
-func (m *Monitor) BindRecorder(rec *stats.Recorder, prefix string) {
-	m.ctr = bindMonitorCounters(rec, prefix)
+// Register indexes the monitor's counters in a run's metrics sink under
+// the given name prefix (e.g. "board0/monitor/").
+func (m *Monitor) Register(rec *stats.Recorder, prefix string) {
+	s := &m.stats
+	stats.Register(rec, prefix+"checks", &s.Checks)
+	stats.Register(rec, prefix+"aborts", &s.Aborts)
+	stats.Register(rec, prefix+"interrupts", &s.Interrupts)
+	stats.Register(rec, prefix+"dropped-words", &s.Dropped)
 }
 
 // BoardID implements bus.Snooper.
@@ -165,14 +151,7 @@ func (m *Monitor) BoardID() int { return m.boardID }
 func (m *Monitor) SetInterruptLine(fn func()) { m.onPost = fn }
 
 // Stats returns a copy of the counters.
-func (m *Monitor) Stats() Stats {
-	return Stats{
-		Checks:     uint64(m.ctr.checks.Value()),
-		Aborts:     uint64(m.ctr.aborts.Value()),
-		Interrupts: uint64(m.ctr.interrupts.Value()),
-		Dropped:    uint64(m.ctr.droppedWords.Value()),
-	}
-}
+func (m *Monitor) Stats() Stats { return m.stats }
 
 // frame converts a physical address to its frame number.
 func (m *Monitor) frame(paddr uint32) int { return int(paddr) / m.pageSize }
@@ -207,10 +186,10 @@ func (m *Monitor) SetAction(paddr uint32, a Action) {
 //
 //vmplint:hotpath
 func (m *Monitor) Check(tx bus.Transaction) protocol.Reaction {
-	m.ctr.checks.Inc()
+	m.stats.Checks++
 	r := m.proto.React(m.Action(tx.PAddr), tx.Op, tx.Requester == m.boardID)
 	if r.Abort {
-		m.ctr.aborts.Inc()
+		m.stats.Aborts++
 	}
 	return r
 }
@@ -238,7 +217,7 @@ func (m *Monitor) Post(tx bus.Transaction) {
 func (m *Monitor) push(w Word) {
 	if m.n >= m.cap {
 		m.dropped = true
-		m.ctr.droppedWords.Inc()
+		m.stats.Dropped++
 		if m.sink != nil {
 			m.sink.Emit(obs.Event{
 				Time: m.sink.Now(), PAddr: w.PAddr, Board: int16(m.boardID),
@@ -249,7 +228,7 @@ func (m *Monitor) push(w Word) {
 	}
 	m.fifo[(m.head+m.n)%len(m.fifo)] = w
 	m.n++
-	m.ctr.interrupts.Inc()
+	m.stats.Interrupts++
 	if m.sink != nil {
 		m.sink.Emit(obs.Event{
 			Time: m.sink.Now(), PAddr: w.PAddr, Board: int16(m.boardID),

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"vmp/internal/core"
 	"vmp/internal/isa"
@@ -396,20 +395,8 @@ func summarize(m *core.Machine, sched []kernel.SchedStats) Summary {
 	if sink := m.Sink(); sink != nil && sink.Stream() != nil {
 		sum.Digest = fmt.Sprintf("%016x", sink.Digest())
 	}
-	for _, met := range m.Eng.Recorder().Snapshot() {
-		switch {
-		case strings.HasPrefix(met.Name, "fault/"):
-			if sum.FaultCounters == nil {
-				sum.FaultCounters = make(map[string]int64)
-			}
-			sum.FaultCounters[strings.TrimPrefix(met.Name, "fault/")] = met.Value
-		case strings.HasPrefix(met.Name, "check/"):
-			if sum.CheckCounters == nil {
-				sum.CheckCounters = make(map[string]int64)
-			}
-			sum.CheckCounters[strings.TrimPrefix(met.Name, "check/")] = met.Value
-		}
-	}
+	sum.FaultCounters = m.Eng.Recorder().Group("fault/")
+	sum.CheckCounters = m.Eng.Recorder().Group("check/")
 	for i, b := range m.Boards {
 		bcs := b.Cache.Stats()
 		bbs := b.Stats()

@@ -14,9 +14,9 @@
 // whose bodies returned are pooled for the next Spawn and released when
 // Run returns, so no goroutine outlives a run.
 //
-// Each engine owns a stats.Recorder — the per-run metrics sink that the
-// machine components (bus, caches, monitors, boards) register their
-// counters in. An engine and everything built on it is confined to one
+// Each engine owns a stats.Recorder — the per-run metrics sink in which
+// the machine components (bus, caches, monitors, copiers, boards)
+// register their counter fields by name. An engine and everything built on it is confined to one
 // run; independent engines share nothing, so whole simulations can run
 // concurrently on separate goroutines.
 package sim
@@ -143,11 +143,6 @@ func (e *Engine) Recorder() *stats.Recorder {
 	}
 	return e.rec
 }
-
-// SetRecorder replaces the engine's metrics sink. Call before building
-// components on the engine; counters already handed out keep pointing
-// at the old sink.
-func (e *Engine) SetRecorder(r *stats.Recorder) { e.rec = r }
 
 // Metrics returns a snapshot of the engine's event-loop measurements.
 func (e *Engine) Metrics() Metrics { return e.metrics }

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"vmp/internal/stats"
+)
 
 func TestEngineMetrics(t *testing.T) {
 	e := NewEngine()
@@ -102,7 +106,9 @@ func TestEngineRecorder(t *testing.T) {
 	if e.Recorder() != rec {
 		t.Error("Recorder not stable across calls")
 	}
-	rec.Counter("x").Inc()
+	var x uint64
+	stats.Register(rec, "x", &x)
+	x++
 	if rec.Value("x") != 1 {
 		t.Error("recorder lost a count")
 	}

@@ -1,131 +1,52 @@
 package stats
 
-import "sort"
+import (
+	"sort"
+	"strings"
+)
 
-// Recorder is a per-run metrics sink. Every simulation run owns exactly
-// one Recorder (reachable through its engine), and every component of
-// that run — bus, caches, monitors, boards — registers named counters
-// in it at construction time. Counters are plain int64 cells behind a
-// handle, so the hot-path cost of counting is a pointer write; the
-// Recorder itself is only consulted when a run is summarized.
+// Recorder is a per-run index of named counters. Every simulation run
+// owns exactly one Recorder (reachable through its engine). Each
+// component of that run — bus, caches, monitors, copiers, boards, the
+// fault injector and the watchdog — keeps its counters as plain fields
+// that its code increments directly, and registers each field here once,
+// under its name, at construction. Counting costs a field increment;
+// the Recorder reads the fields only when a run is summarized.
 //
 // A Recorder is confined to its run: it is not safe for concurrent use
 // from multiple goroutines, which is exactly the discipline the
 // simulator already imposes (one engine, one event loop). Separate runs
 // use separate Recorders and may proceed in parallel.
 type Recorder struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
+	fields map[string]func() int64
 }
 
-// NewRecorder returns an empty metrics sink.
+// NewRecorder returns an empty index.
 func NewRecorder() *Recorder {
-	return &Recorder{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-	}
+	return &Recorder{fields: make(map[string]func() int64)}
 }
 
-// Counter is a monotonically named int64 cell. A nil Counter discards
-// updates, so components may run without a sink attached.
-type Counter struct {
-	name string
-	v    int64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count (0 for a nil Counter).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() {
-	if c != nil {
-		c.v = 0
-	}
-}
-
-// Name returns the registered name.
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
-// Gauge tracks the maximum of an observed int64 series.
-type Gauge struct {
-	name string
-	v    int64
-}
-
-// Observe records v, keeping the maximum seen.
-func (g *Gauge) Observe(v int64) {
-	if g != nil && v > g.v {
-		g.v = v
-	}
-}
-
-// Value returns the maximum observed (0 for a nil Gauge).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
-// Counter returns the named counter, registering it on first use.
-// Calling Counter on a nil Recorder returns a nil (discarding) handle.
-func (r *Recorder) Counter(name string) *Counter {
+// Register indexes the counter field p under name. Registering a name
+// twice is a wiring bug and panics. Registering in a nil Recorder does
+// nothing: the field still counts, it is only not indexed.
+func Register[T ~uint64 | ~int64](r *Recorder, name string, p *T) {
 	if r == nil {
-		return nil
+		return
 	}
-	if c, ok := r.counters[name]; ok {
-		return c
+	if _, dup := r.fields[name]; dup {
+		panic("stats: counter " + name + " registered twice")
 	}
-	c := &Counter{name: name}
-	r.counters[name] = c
-	return c
+	r.fields[name] = func() int64 { return int64(*p) }
 }
 
-// Gauge returns the named max-tracking gauge, registering it on first
-// use. Calling Gauge on a nil Recorder returns a nil handle.
-func (r *Recorder) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{name: name}
-	r.gauges[name] = g
-	return g
-}
-
-// Value returns the current value of a named counter or gauge (counters
-// shadow gauges), or 0 if neither exists.
+// Value returns the current value of a named counter, or 0 if no
+// counter has that name.
 func (r *Recorder) Value(name string) int64 {
 	if r == nil {
 		return 0
 	}
-	if c, ok := r.counters[name]; ok {
-		return c.v
-	}
-	if g, ok := r.gauges[name]; ok {
-		return g.v
+	if f, ok := r.fields[name]; ok {
+		return f()
 	}
 	return 0
 }
@@ -136,21 +57,33 @@ type Metric struct {
 	Value int64
 }
 
-// Snapshot returns every registered counter and gauge, sorted by name,
-// so two identical runs render identical summaries.
+// Snapshot returns every registered counter, sorted by name, so two
+// identical runs render identical summaries.
 func (r *Recorder) Snapshot() []Metric {
 	if r == nil {
 		return nil
 	}
-	out := make([]Metric, 0, len(r.counters)+len(r.gauges))
-	for _, c := range r.counters {
-		out = append(out, Metric{Name: c.name, Value: c.v})
-	}
-	for _, g := range r.gauges {
-		out = append(out, Metric{Name: g.name, Value: g.v})
+	out := make([]Metric, 0, len(r.fields))
+	for name, f := range r.fields {
+		out = append(out, Metric{Name: name, Value: f()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// Group returns the counters whose names start with prefix, keyed by
+// the rest of the name, or nil when none is registered.
+func (r *Recorder) Group(prefix string) map[string]int64 {
+	var g map[string]int64
+	for _, m := range r.Snapshot() {
+		if rest, ok := strings.CutPrefix(m.Name, prefix); ok {
+			if g == nil {
+				g = make(map[string]int64)
+			}
+			g[rest] = m.Value
+		}
+	}
+	return g
 }
 
 // Table renders a snapshot as a two-column table, omitting zero-valued
