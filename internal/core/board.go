@@ -561,9 +561,14 @@ func (b *Board) refNested(p *sim.Process, asid uint8, vaddr uint32, depth int) e
 	}
 }
 
-// missFillNested is missFill with the recursion depth threaded through
-// (the public missFill starts at depth 0; the structure is identical,
-// so it simply reuses missFill's logic via translate's depth argument).
+// missFillNested serves a miss on a page-table reference made while
+// translating at the given recursion depth. It follows missFill's
+// sequence (trap, translate, victim, copy, fill) but is a separate copy:
+// the fill always reads shared and installs the frame shared, its only
+// phase event is one nested PhaseMiss span, its time counts in MissTime
+// but not in the miss-latency histogram (it lies inside the parent
+// miss's measurement), and it leaves the page's VM referenced and
+// modified bits alone.
 func (b *Board) missFillNested(p *sim.Process, asid uint8, vaddr uint32, acc cache.Access, depth, attempt int) (retried bool, err error) {
 	t := b.timing()
 	start := p.Now()
@@ -699,6 +704,16 @@ func (b *Board) detachSlot(frame uint32, fi *frameInfo, slot cache.SlotID) {
 	}
 }
 
+// invalidateFrame invalidates every cache slot holding frame, in slot
+// order, and detaches each, which deletes the frame record.
+func (b *Board) invalidateFrame(frame uint32, fi *frameInfo) {
+	for len(fi.slots) > 0 {
+		s := fi.slots[0]
+		b.Cache.Invalidate(s)
+		b.detachSlot(frame, fi, s)
+	}
+}
+
 // upgradeOwnership serves a write to a page held shared: the
 // assert-ownership negotiation of Section 3.1. On abort (an owner
 // appeared), the instruction re-traps after interrupt service; the
@@ -773,21 +788,14 @@ func (b *Board) resolveOwnAliases(p *sim.Process, frame uint32, wantPrivate bool
 	}
 	if fi.state == psPrivate {
 		// Downgrade or release our private alias copy before the bus
-		// sees our request.
+		// sees our request; a copy kept shared needs nothing else.
 		b.releaseOwnership(p, frame, fi, !wantPrivate)
-		if wantPrivate {
-			return
-		}
-		// Kept shared: nothing else to do.
 		return
 	}
 	if wantPrivate {
 		// Drop our shared alias copies; the fill will bring the page
 		// back private under the new virtual address.
-		for _, s := range append([]cache.SlotID(nil), fi.slots...) {
-			b.Cache.Invalidate(s)
-			b.detachSlot(frame, fi, s)
-		}
+		b.invalidateFrame(frame, fi)
 	}
 }
 
@@ -797,10 +805,16 @@ func (b *Board) resolveOwnAliases(p *sim.Process, frame uint32, wantPrivate bool
 func (b *Board) resolveOwnConflict(p *sim.Process, frame uint32) {
 	paddr := b.frameAddr(frame)
 	if b.frames[frame] == nil && b.Mon.Action(paddr) != monitor.Ignore && b.Mon.Action(paddr) != monitor.Notify {
-		b.m.Bus.Do(p, bus.Transaction{
-			Op: bus.WriteActionTable, PAddr: paddr, Requester: b.ID, Action: uint8(monitor.Ignore),
-		})
+		b.clearEntry(p, paddr)
 	}
+}
+
+// clearEntry sets this board's action-table entry for paddr to Ignore
+// with a write-action-table bus transaction.
+func (b *Board) clearEntry(p *sim.Process, paddr uint32) {
+	b.m.Bus.Do(p, bus.Transaction{
+		Op: bus.WriteActionTable, PAddr: paddr, Requester: b.ID, Action: uint8(monitor.Ignore),
+	})
 }
 
 // releaseOwnership gives up a privately held frame: write it back if
@@ -883,9 +897,7 @@ func (b *Board) assertFlush(p *sim.Process, paddr uint32) {
 	b.assertFlushKeep(p, paddr)
 	// The assert left our entry Private; we do not actually hold the
 	// page, so clear it.
-	b.m.Bus.Do(p, bus.Transaction{
-		Op: bus.WriteActionTable, PAddr: paddr, Requester: b.ID, Action: uint8(monitor.Ignore),
-	})
+	b.clearEntry(p, paddr)
 }
 
 // ProtectRegion forces every cached copy of the physical region out of
@@ -906,9 +918,7 @@ func (b *Board) UnprotectRegion(p *sim.Process, paddr uint32, bytes int) {
 	for off := 0; off < bytes; off += b.pageSize() {
 		pa := paddr + uint32(off)
 		delete(b.protected, b.frameOf(pa))
-		b.m.Bus.Do(p, bus.Transaction{
-			Op: bus.WriteActionTable, PAddr: pa, Requester: b.ID, Action: uint8(monitor.Ignore),
-		})
+		b.clearEntry(p, pa)
 	}
 }
 
@@ -920,10 +930,7 @@ func (b *Board) assertFlushKeep(p *sim.Process, paddr uint32) {
 		if fi.state == psPrivate {
 			b.releaseOwnership(p, frame, fi, false)
 		} else {
-			for _, s := range append([]cache.SlotID(nil), fi.slots...) {
-				b.Cache.Invalidate(s)
-				b.detachSlot(frame, fi, s)
-			}
+			b.invalidateFrame(frame, fi)
 		}
 	}
 	for attempt := 0; ; attempt++ {
@@ -1004,52 +1011,36 @@ func (b *Board) handleWord(p *sim.Process, w monitor.Word) {
 		b.stats.StaleWords++
 		act := b.Mon.Action(w.PAddr)
 		if act == monitor.Shared || act == monitor.Private {
-			b.m.Bus.Do(p, bus.Transaction{
-				Op: bus.WriteActionTable, PAddr: w.PAddr, Requester: b.ID, Action: uint8(monitor.Ignore),
-			})
+			b.clearEntry(p, w.PAddr)
 		}
 		return
 	}
 
-	switch b.proto.WordClass(w.Op) {
+	switch class := b.proto.WordClass(w.Op); class {
 	case protocol.WordDowngrade:
 		// Someone wants a shared copy of a page we own: downgrade.
 		if fi.state == psPrivate {
 			b.releaseOwnership(p, frame, fi, true)
 		}
-	case protocol.WordRelease:
-		if fi.state == psPrivate {
-			b.releaseOwnership(p, frame, fi, false)
-		} else {
+	case protocol.WordRelease, protocol.WordWriteBack:
+		switch {
+		case fi.state == psShared:
 			// Shared copy: discard it and clear the entry (Section 3.3:
 			// "the processor invalidates the cache slots holding this
 			// cache page and sets the k-th action table entry to 00").
-			for _, s := range append([]cache.SlotID(nil), fi.slots...) {
-				b.Cache.Invalidate(s)
-				b.detachSlot(frame, fi, s)
-			}
+			// A write-back means someone else owns the frame, so our
+			// invalidation word must have been lost (FIFO overflow)
+			// before the recovery sweep ran: the write-back stands in
+			// for the missed invalidation.
+			b.invalidateFrame(frame, fi)
 			b.stats.InvalidationsIn++
-			b.m.Bus.Do(p, bus.Transaction{
-				Op: bus.WriteActionTable, PAddr: w.PAddr, Requester: b.ID, Action: uint8(monitor.Ignore),
-			})
-		}
-	case protocol.WordWriteBack:
-		// A write-back means someone else owns the frame. If we hold a
-		// shared copy, our invalidation word must have been lost (FIFO
-		// overflow) before the recovery sweep ran: treat the write-back
-		// as the missed invalidation and discard the copy. A write-back
-		// against a frame we own privately is impossible without a
-		// genuine protocol violation (our Private entry is never lost).
-		if fi.state == psShared {
-			for _, sl := range append([]cache.SlotID(nil), fi.slots...) {
-				b.Cache.Invalidate(sl)
-				b.detachSlot(frame, fi, sl)
-			}
-			b.stats.InvalidationsIn++
-			b.m.Bus.Do(p, bus.Transaction{
-				Op: bus.WriteActionTable, PAddr: w.PAddr, Requester: b.ID, Action: uint8(monitor.Ignore),
-			})
-		} else {
+			b.clearEntry(p, w.PAddr)
+		case class == protocol.WordRelease:
+			b.releaseOwnership(p, frame, fi, false)
+		default:
+			// A write-back against a frame we own privately is
+			// impossible without a genuine protocol violation (our
+			// Private entry is never lost).
 			b.stats.Violations++
 		}
 	}
@@ -1077,13 +1068,8 @@ func (b *Board) recoverOverflow(p *sim.Process) {
 			continue
 		}
 		p.Delay(b.timing().Handler.RecoveryPerPage)
-		for _, s := range append([]cache.SlotID(nil), fi.slots...) {
-			b.Cache.Invalidate(s)
-			b.detachSlot(frame, fi, s)
-		}
-		b.m.Bus.Do(p, bus.Transaction{
-			Op: bus.WriteActionTable, PAddr: b.frameAddr(frame), Requester: b.ID, Action: uint8(monitor.Ignore),
-		})
+		b.invalidateFrame(frame, fi)
+		b.clearEntry(p, b.frameAddr(frame))
 	}
 }
 
