@@ -16,9 +16,9 @@
 //
 // Each engine owns a stats.Recorder — the per-run metrics sink in which
 // the machine components (bus, caches, monitors, copiers, boards)
-// register their counter fields by name. An engine and everything built on it is confined to one
-// run; independent engines share nothing, so whole simulations can run
-// concurrently on separate goroutines.
+// register their counter fields by name. An engine and everything built
+// on it is confined to one run; independent engines share nothing, so
+// whole simulations can run concurrently on separate goroutines.
 package sim
 
 import (
