@@ -27,11 +27,19 @@ const maxReissues = 12
 const reissueShiftCap = 6
 
 // Copier is one board's block-copy engine. Create with New.
+//
+// Like the hardware it models, a copier serves one transfer after
+// another: its process is spawned by the first Start, pauses after
+// each transfer, and is woken by the next Start. It stays live when
+// the engine's Run returns, so whoever owns the engine ends it with
+// KillProcesses; the Start after that spawns a fresh process.
 type Copier struct {
 	eng     *sim.Engine
 	bus     bus.Interconnect
 	boardID int
 
+	proc   *sim.Process // nil until the first Start, and after a kill
+	tx     bus.Transaction
 	busy   bool
 	done   sim.Signal
 	result bus.Result
@@ -72,68 +80,86 @@ func (c *Copier) Stats() Stats { return c.stats }
 // KindCopy event spanning its start to completion, re-issues included.
 func (c *Copier) SetSink(s *obs.Sink) { c.sink = s }
 
-// Busy reports whether a transfer is in flight.
-func (c *Copier) Busy() bool { return c.busy }
-
 // Start launches a block transaction asynchronously. The CPU may keep
 // executing (bookkeeping in local memory) and must call Wait before
 // depending on the result. Starting while busy is a programming error
-// in the miss handler and panics.
+// in the miss handler and panics. Waking the paused copier schedules
+// the same zero-delay step that spawning it does, so the event order
+// does not depend on whether the copier had a process already.
 func (c *Copier) Start(tx bus.Transaction) {
 	if c.busy {
 		panic("copier: Start while busy")
 	}
 	tx.Requester = c.boardID
-	c.busy = true
-	c.eng.Spawn("copier", func(p *sim.Process) {
-		start := p.Now()
-		reissued := false
-		res := c.bus.Do(p, tx)
+	c.tx, c.busy = tx, true
+	if c.proc == nil {
+		c.proc = c.eng.Spawn("copier", c.serve)
+	} else {
+		c.proc.Wake()
+	}
+}
+
+// serve is the copier's process body: one transfer per Start, paused
+// in between. A kill unwinds it, and the deferred reset makes the next
+// Start spawn a new process.
+func (c *Copier) serve(p *sim.Process) {
+	defer func() { c.proc = nil }()
+	for {
+		c.transfer(p, c.tx)
+		p.Pause()
+	}
+}
+
+// transfer performs one transaction on the copier's process and
+// publishes its result to Wait.
+func (c *Copier) transfer(p *sim.Process, tx bus.Transaction) {
+	start := p.Now()
+	reissued := false
+	res := c.bus.Do(p, tx)
+	c.stats.Transfers++
+	// A transfer error has no protocol side effects, so the copier
+	// re-issues the identical transaction after a bounded,
+	// deterministic exponential backoff. An abort is different: it has
+	// a protocol cause the miss handler must resolve, so it is reported
+	// up instead of retried here.
+	for attempt := 0; res.TransferErr; attempt++ {
+		c.stats.TransferErrors++
+		reissued = true
+		if attempt == maxReissues {
+			panic(fmt.Sprintf("copier: board %d transfer %v paddr %#x failed %d times",
+				c.boardID, tx.Op, tx.PAddr, maxReissues))
+		}
+		shift := attempt
+		if shift > reissueShiftCap {
+			shift = reissueShiftCap
+		}
+		p.Delay(c.bus.Timing().ArbAddr << shift)
+		c.stats.Reissues++
+		res = c.bus.Do(p, tx)
 		c.stats.Transfers++
-		// A transfer error has no protocol side effects, so the copier
-		// re-issues the identical transaction after a bounded,
-		// deterministic exponential backoff. An abort is different: it has
-		// a protocol cause the miss handler must resolve, so it is
-		// reported up instead of retried here.
-		for attempt := 0; res.TransferErr; attempt++ {
-			c.stats.TransferErrors++
-			reissued = true
-			if attempt == maxReissues {
-				panic(fmt.Sprintf("copier: board %d transfer %v paddr %#x failed %d times",
-					c.boardID, tx.Op, tx.PAddr, maxReissues))
-			}
-			shift := attempt
-			if shift > reissueShiftCap {
-				shift = reissueShiftCap
-			}
-			p.Delay(c.bus.Timing().ArbAddr << shift)
-			c.stats.Reissues++
-			res = c.bus.Do(p, tx)
-			c.stats.Transfers++
-		}
-		c.stats.BusTime += p.Now() - start
+	}
+	c.stats.BusTime += p.Now() - start
+	if res.Aborted {
+		c.stats.Aborted++
+	} else {
+		c.stats.BytesMoved += uint64(tx.Bytes)
+	}
+	if c.sink != nil {
+		var fl uint8
 		if res.Aborted {
-			c.stats.Aborted++
-		} else {
-			c.stats.BytesMoved += uint64(tx.Bytes)
+			fl |= obs.FlagAborted
 		}
-		if c.sink != nil {
-			var fl uint8
-			if res.Aborted {
-				fl |= obs.FlagAborted
-			}
-			if reissued {
-				fl |= obs.FlagTransferErr
-			}
-			c.sink.Emit(obs.Event{
-				Time: start, Dur: p.Now() - start, PAddr: tx.PAddr,
-				Board: int16(c.boardID), Kind: obs.KindCopy, Arg: uint8(tx.Op), Flags: fl,
-			})
+		if reissued {
+			fl |= obs.FlagTransferErr
 		}
-		c.result = res
-		c.busy = false
-		c.done.Broadcast()
-	})
+		c.sink.Emit(obs.Event{
+			Time: start, Dur: p.Now() - start, PAddr: tx.PAddr,
+			Board: int16(c.boardID), Kind: obs.KindCopy, Arg: uint8(tx.Op), Flags: fl,
+		})
+	}
+	c.result = res
+	c.busy = false
+	c.done.Broadcast()
 }
 
 // Wait blocks p until the in-flight transfer (if any) completes and

@@ -1,7 +1,9 @@
 package copier
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"vmp/internal/bus"
 	"vmp/internal/sim"
@@ -20,6 +22,7 @@ func TestRunSynchronous(t *testing.T) {
 		end = p.Now()
 	})
 	eng.Run()
+	eng.KillProcesses()
 	want := b.Timing().TransferTime(bus.ReadShared, 256)
 	if end != want {
 		t.Errorf("Run took %v, want %v", end, want)
@@ -47,6 +50,7 @@ func TestOverlapWithCPU(t *testing.T) {
 		end = p.Now()
 	})
 	eng.Run()
+	eng.KillProcesses()
 	if end != xfer {
 		t.Errorf("overlapped elapsed %v, want %v", end, xfer)
 	}
@@ -54,6 +58,7 @@ func TestOverlapWithCPU(t *testing.T) {
 
 func TestWaitAfterCompletion(t *testing.T) {
 	// Bookkeeping longer than the transfer: Wait returns immediately.
+	base := runtime.NumGoroutine()
 	eng := sim.NewEngine()
 	b := bus.New(eng)
 	c := New(eng, b, 0)
@@ -69,8 +74,85 @@ func TestWaitAfterCompletion(t *testing.T) {
 	if end != 2*xfer {
 		t.Errorf("elapsed %v, want %v", end, 2*xfer)
 	}
+	// The copier's one process stays paused between transfers, however
+	// many it has served.
+	if eng.Live() != 1 {
+		t.Errorf("Live() = %d after one transfer, want 1 (the paused copier)", eng.Live())
+	}
+	eng.Spawn("cpu", func(p *sim.Process) {
+		for i := 0; i < 3; i++ {
+			c.Run(p, bus.Transaction{Op: bus.ReadShared, PAddr: uint32(i) * 128, Bytes: 128})
+		}
+	})
+	eng.Run()
+	if eng.Live() != 1 {
+		t.Errorf("Live() = %d after four transfers, want 1", eng.Live())
+	}
+	eng.KillProcesses()
 	if eng.Live() != 0 {
-		t.Errorf("leaked %d processes", eng.Live())
+		t.Errorf("Live() = %d after KillProcesses, want 0", eng.Live())
+	}
+	requireGoroutines(t, base)
+}
+
+// TestStartAfterKillRespawns: a kill ends the copier's process, and the
+// next Start spawns a new one that serves the transfer.
+func TestStartAfterKillRespawns(t *testing.T) {
+	base := runtime.NumGoroutine()
+	eng := sim.NewEngine()
+	b := bus.New(eng)
+	c := New(eng, b, 0)
+	for run := 0; run < 2; run++ {
+		var res bus.Result
+		eng.Spawn("cpu", func(p *sim.Process) {
+			res = c.Run(p, bus.Transaction{Op: bus.ReadShared, PAddr: 0, Bytes: 256})
+		})
+		eng.Run()
+		if res.Aborted || eng.Live() != 1 {
+			t.Fatalf("run %d: result %+v, Live() = %d; want a completed transfer and 1 paused copier", run, res, eng.Live())
+		}
+		eng.KillProcesses()
+	}
+	if st := c.Stats(); st.Transfers != 2 || st.BytesMoved != 512 {
+		t.Errorf("stats %+v, want 2 transfers of 256 bytes", st)
+	}
+	requireGoroutines(t, base)
+}
+
+// TestWarmTransferZeroAlloc: once the copier's process exists, a
+// Start-Wait round trip wakes it instead of spawning, and allocates
+// nothing.
+func TestWarmTransferZeroAlloc(t *testing.T) {
+	eng := sim.NewEngine()
+	b := bus.New(eng)
+	c := New(eng, b, 0)
+	tx := bus.Transaction{Op: bus.ReadShared, PAddr: 0, Bytes: 256}
+	allocs := -1.0
+	eng.Spawn("cpu", func(p *sim.Process) {
+		c.Run(p, tx)
+		allocs = testing.AllocsPerRun(200, func() {
+			c.Start(tx)
+			c.Wait(p)
+		})
+	})
+	eng.Run()
+	eng.KillProcesses()
+	if allocs != 0 {
+		t.Fatalf("warm Start-Wait allocates %v times per transfer, want 0", allocs)
+	}
+}
+
+// requireGoroutines fails unless runtime.NumGoroutine comes back to
+// base: a killed coroutine ends inside KillProcesses, so the wait only
+// absorbs unrelated runtime goroutines.
+func requireGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -88,6 +170,7 @@ func TestStartWhileBusyPanics(t *testing.T) {
 		c.Start(bus.Transaction{Op: bus.ReadShared, PAddr: 0, Bytes: 128})
 	})
 	eng.Run()
+	eng.KillProcesses()
 }
 
 func TestCopierRequesterStamped(t *testing.T) {
@@ -98,6 +181,7 @@ func TestCopierRequesterStamped(t *testing.T) {
 		c.Run(p, bus.Transaction{Op: bus.WriteBack, PAddr: 0, Bytes: 256})
 	})
 	eng.Run()
+	eng.KillProcesses()
 	if got := b.BoardBusyTime(3); got == 0 {
 		t.Error("transfer not charged to board 3")
 	}
@@ -126,6 +210,7 @@ func TestBandwidthAblation(t *testing.T) {
 		cpuElapsed = p.Now() - start
 	})
 	eng.Run()
+	eng.KillProcesses()
 
 	bytes := float64(n * block)
 	blockMBps := bytes / blockElapsed.Seconds() / 1e6

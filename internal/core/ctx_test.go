@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"vmp/internal/trace"
 	"vmp/internal/workload"
@@ -81,4 +83,46 @@ func TestSetContextCancellationPanicsCanceled(t *testing.T) {
 	}()
 	m.Run()
 	t.Fatal("Run returned despite a cancelled run context")
+}
+
+// TestRunLeavesNoCoroutine: a run with misses uses every board's block
+// copier, whose process pauses between transfers; RunCtx ends them, so
+// no coroutine outlives the run. A second run on the same machine fills
+// pages through copiers spawned afresh.
+func TestRunLeavesNoCoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	m := newTestMachine(t, 2)
+	if err := m.EnsureSpace(1); err != nil {
+		t.Fatal(err)
+	}
+	ps := uint32(m.Config().Cache.PageSize)
+	touch := func(first uint32) {
+		for i := 0; i < 2; i++ {
+			m.RunProgram(i, func(c *CPU) {
+				c.SetASID(1)
+				for k := uint32(0); k < 8; k++ {
+					c.Store(first+(k*2+uint32(i))*ps, k)
+				}
+			})
+		}
+		m.Run()
+	}
+	for run, first := range []uint32{0x4000, 0x40000} {
+		before := m.Boards[0].Cop.Stats().Transfers
+		touch(first)
+		if got := m.Boards[0].Cop.Stats().Transfers; got <= before {
+			t.Fatalf("run %d: board 0's copier moved no pages", run)
+		}
+		if live := m.Eng.Live(); live != 0 {
+			t.Fatalf("run %d: %d live processes after Run, want 0", run, live)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("run %d: %d goroutines after Run, baseline %d", run, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	checkClean(t, m)
 }

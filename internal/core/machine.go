@@ -47,9 +47,6 @@ type Config struct {
 	// Protocol names the coherence protocol from the internal/protocol
 	// registry ("" = the default 2-state "vmp2").
 	Protocol string
-	// DisableChecker turns off the protocol-invariant oracle (useful
-	// only for benchmarking the simulator itself).
-	DisableChecker bool
 	// Faults, when non-nil and enabled, attaches the deterministic
 	// fault-injection layer (see internal/fault).
 	Faults *fault.Spec
@@ -219,6 +216,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		VM:          vm.New(mem),
 		cfg:         cfg,
 		proto:       proto,
+		checker:     newChecker(),
 		finishTimes: make(map[int]sim.Time),
 	}
 	if cfg.BusTiming != (bus.Timing{}) {
@@ -227,9 +225,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.Obs != nil {
 		m.sink = obs.NewSink(*cfg.Obs, eng.Now)
 		ic.SetSink(m.sink)
-	}
-	if !cfg.DisableChecker {
-		m.checker = newChecker()
 	}
 	stats.Register(eng.Recorder(), "check/starvation-events", &m.starve)
 	for i := 0; i < cfg.Processors; i++ {
@@ -550,7 +545,9 @@ const cancelCheckEvery = 4096
 // returns the context's error; the machine's simulated state is
 // abandoned mid-flight and must not be summarized. A context that
 // never fires leaves the run byte-identical to plain Run: the cancel
-// probe observes the simulation but never influences it.
+// probe observes the simulation but never influences it. A finished
+// run ends the boards' paused block copiers the same way, so no
+// coroutine outlives RunCtx; a later run spawns them afresh.
 func (m *Machine) RunCtx(ctx context.Context) (sim.Time, error) {
 	cancellable := ctx != nil && ctx.Done() != nil
 	if cancellable {
@@ -577,6 +574,7 @@ func (m *Machine) RunCtx(ctx context.Context) (sim.Time, error) {
 			return m.Eng.Now(), ctx.Err()
 		}
 	}
+	m.Eng.KillProcesses()
 	return m.Eng.Now(), nil
 }
 
@@ -630,11 +628,9 @@ func (m *Machine) checkInvariants() []string {
 		m.watch.FinalSweep()
 		out = append(out, m.watch.Violations()...)
 	}
-	if m.checker != nil {
-		out = append(out, m.checker.Violations()...)
-		if !m.pendingWords() {
-			out = append(out, m.checker.quiescentCheck()...)
-		}
+	out = append(out, m.checker.Violations()...)
+	if !m.pendingWords() {
+		out = append(out, m.checker.quiescentCheck()...)
 	}
 	for _, b := range m.Boards {
 		out = append(out, m.checkBoard(b)...)

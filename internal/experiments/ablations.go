@@ -243,6 +243,7 @@ func AblationCopier(o Options) (*Result, error) {
 			cpuBus = b.Stats().BusyTime - busStart
 		})
 		eng.Run()
+		eng.KillProcesses() // the copier's paused process
 		bytes := float64(blocks * ps)
 		t.Add("block copier", ps, bytes/blockElapsed.Seconds()/1e6, 100*float64(blockBus)/float64(blockElapsed))
 		t.Add("CPU loop", ps, bytes/cpuElapsed.Seconds()/1e6, 100*float64(cpuBus)/float64(cpuElapsed))

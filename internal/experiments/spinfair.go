@@ -83,6 +83,7 @@ func AblationSpinFairness(o Options) (*Result, error) {
 			}
 		}
 		m.Eng.RunUntil(window)
+		defer m.Eng.KillProcesses() // the spinning CPUs and their copiers
 		w, err := m.VM.Translate(1, 0x20100, false, false)
 		if err != nil {
 			return 0, 0, err

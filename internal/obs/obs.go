@@ -22,7 +22,7 @@
 // Perfetto exporter needs it); the ring, histograms and page stats are
 // O(1) per event.
 //
-// The disabled path follows the repo's nil-Counter discipline: a nil
+// The disabled path follows the repo's nil-sink discipline: a nil
 // *Sink discards events, and every emission site in the simulator is
 // guarded by a single `if sink != nil` branch, so a machine built
 // without observability pays one predictable branch per event site

@@ -13,10 +13,10 @@
 //     simulated miss — the figures ROADMAP item 2's speed campaign is
 //     judged on.
 //   - Micro: allocs/op and ns/op for the hot components (engine event
-//     queue, process handoff and spawn, bus transaction path, cache
-//     lookup, trace-driven hit, monitor check, store, telemetry), via
-//     testing.Benchmark so the op counts are calibrated the same way
-//     `go test -bench` calibrates them.
+//     queue, process handoff and spawn, block-copier transfer, bus
+//     transaction path, cache lookup, trace-driven hit, monitor check,
+//     store, telemetry), via testing.Benchmark so the op counts are
+//     calibrated the same way `go test -bench` calibrates them.
 package perf
 
 import (
@@ -28,6 +28,7 @@ import (
 
 	"vmp/internal/bus"
 	"vmp/internal/cache"
+	"vmp/internal/copier"
 	"vmp/internal/core"
 	"vmp/internal/monitor"
 	"vmp/internal/scenario"
@@ -138,6 +139,7 @@ func Collect() (*Snapshot, error) {
 		{"engine/schedule-fire", benchEngine},
 		{"sim/process-handoff", benchHandoff},
 		{"sim/spawn-exit", benchSpawnExit},
+		{"copier/transfer", benchCopier},
 		{"bus/transaction", benchBus},
 		{"interconnect/local-hit", benchInterconnectLocal},
 		{"interconnect/cross-link", benchInterconnectCross},
@@ -195,9 +197,10 @@ func benchHandoff(b *testing.B) {
 	eng.Run()
 }
 
-// benchSpawnExit measures the copier's per-transfer pattern: spawn a
-// process that delays once and returns, then wait it out. The returned
-// coroutine is reused by the next Spawn, so this stays zero-alloc.
+// benchSpawnExit measures a short-lived process: spawn one that delays
+// once and returns, then wait it out. Each Spawn starts a fresh
+// coroutine, so this is the cost of creating and ending one (kernel
+// DMA spawns a process per transfer).
 func benchSpawnExit(b *testing.B) {
 	eng := sim.NewEngine()
 	body := func(p *sim.Process) { p.Delay(1) }
@@ -210,6 +213,28 @@ func benchSpawnExit(b *testing.B) {
 		}
 	})
 	eng.Run()
+}
+
+// benchCopier measures one block-copier transfer of a 256-byte cache
+// page (read-shared), started and waited for by a CPU process. The
+// copier's process is spawned by a warm-up transfer, so each timed
+// transfer wakes it instead; this stays zero-alloc.
+func benchCopier(b *testing.B) {
+	eng := sim.NewEngine()
+	cop := copier.New(eng, bus.New(eng), 0)
+	tx := bus.Transaction{Op: bus.ReadShared, PAddr: 0, Bytes: 256}
+	eng.Spawn("warm", func(p *sim.Process) { cop.Run(p, tx) })
+	eng.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Spawn("bench", func(p *sim.Process) {
+		for i := 0; i < b.N; i++ {
+			cop.Run(p, tx)
+		}
+	})
+	eng.Run()
+	b.StopTimer()
+	eng.KillProcesses()
 }
 
 // benchBus measures one consistency-related transaction through the
@@ -276,6 +301,8 @@ func benchTraceHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	m.Eng.Run()
+	b.StopTimer()
+	m.Eng.KillProcesses() // the copier that filled the page
 }
 
 // benchFingerprints yields n distinct well-formed fingerprints.

@@ -21,14 +21,13 @@ func requireGoroutines(t *testing.T, base int, after string) {
 	}
 }
 
-// TestGoroutinesReturnToBaseline: no coroutine, live or pooled,
-// outlives a finished run, a KillProcesses, or a body panic that Run's
-// caller recovered.
+// TestGoroutinesReturnToBaseline: no coroutine outlives a finished
+// run, a KillProcesses, or a body panic that Run's caller recovered.
 func TestGoroutinesReturnToBaseline(t *testing.T) {
 	base := runtime.NumGoroutine()
 
-	// A normal run whose processes spawn short-lived children, so the
-	// free list holds coroutines when the queue drains.
+	// A normal run whose processes spawn short-lived children: each
+	// child's coroutine ends when its body returns.
 	eng := NewEngine()
 	for i := 0; i < 4; i++ {
 		eng.Spawn("parent", func(p *Process) {
@@ -63,7 +62,7 @@ func TestGoroutinesReturnToBaseline(t *testing.T) {
 	eng.KillProcesses()
 	requireGoroutines(t, base, "KillProcesses")
 
-	// A body panic recovered from Run, with pooled children behind it.
+	// A body panic recovered from Run, after children that returned.
 	eng = NewEngine()
 	eng.Spawn("faulty", func(p *Process) {
 		for j := 0; j < 3; j++ {
@@ -109,16 +108,17 @@ func TestProcessPanicStackNamesBody(t *testing.T) {
 	}
 }
 
-// TestKillBeforeFirstStepOfPooledCoroutine: a process that reuses a
-// parked coroutine and is killed before its first step never runs its
-// body. (TestKillProcessesBeforeFirstStep covers a fresh coroutine.)
-func TestKillBeforeFirstStepOfPooledCoroutine(t *testing.T) {
+// TestKillBeforeFirstStepAfterReturn: a process spawned after another
+// body returned, and killed before its first step, never runs its body,
+// while the kill unwinds the parked process that spawned it.
+// (TestKillProcessesBeforeFirstStep covers a lone unstarted process.)
+func TestKillBeforeFirstStepAfterReturn(t *testing.T) {
 	base := runtime.NumGoroutine()
 	eng := NewEngine()
 	ran := false
 	eng.Spawn("driver", func(p *Process) {
 		eng.Spawn("short", func(c *Process) {})
-		p.Delay(1) // short returns; its coroutine parks on the free list
+		p.Delay(1) // short returns and its coroutine ends
 		eng.Spawn("late", func(c *Process) { ran = true })
 		eng.Stop()
 		p.Delay(1)
@@ -134,7 +134,7 @@ func TestKillBeforeFirstStepOfPooledCoroutine(t *testing.T) {
 	if eng.Live() != 0 {
 		t.Fatalf("Live() = %d after the kill, want 0", eng.Live())
 	}
-	requireGoroutines(t, base, "killing an unstarted pooled process")
+	requireGoroutines(t, base, "killing an unstarted process")
 }
 
 // TestDeferredDelayDuringKillReturns: a body whose defer calls Delay or
@@ -168,23 +168,4 @@ func TestDeferredDelayDuringKillReturns(t *testing.T) {
 		t.Fatalf("Live() = %d after the kill, want 0", eng.Live())
 	}
 	requireGoroutines(t, base, "a kill with deferred Delay and Pause")
-}
-
-// TestSpawnExitZeroAlloc: the copier's pattern, a Spawn whose body
-// delays once and returns, reuses a parked coroutine and allocates
-// nothing once warm.
-func TestSpawnExitZeroAlloc(t *testing.T) {
-	eng := NewEngine()
-	body := func(c *Process) { c.Delay(1) }
-	allocs := -1.0
-	eng.Spawn("driver", func(p *Process) {
-		allocs = testing.AllocsPerRun(200, func() {
-			eng.Spawn("copier", body)
-			p.Delay(2)
-		})
-	})
-	eng.Run()
-	if allocs != 0 {
-		t.Fatalf("warm Spawn-then-return allocates %v times per run, want 0", allocs)
-	}
 }

@@ -10,9 +10,11 @@
 // iter.Pull coroutine that advances virtual time with Delay and
 // synchronizes with other actors through Signal and Semaphore. The
 // engine resumes at most one process at a time, so process code may
-// read and write shared simulation state without locks. Coroutines
-// whose bodies returned are pooled for the next Spawn and released when
-// Run returns, so no goroutine outlives a run.
+// read and write shared simulation state without locks. Every Spawn
+// starts a fresh coroutine, which ends when its body returns. A
+// process that pauses between requests, like a block copier, is still
+// live when Run returns; its owner ends it with KillProcesses, so no
+// goroutine outlives a run.
 //
 // Each engine owns a stats.Recorder — the per-run metrics sink in which
 // the machine components (bus, caches, monitors, copiers, boards)
@@ -117,9 +119,6 @@ type Engine struct {
 	// plist holds the live processes, each at its slot, so
 	// KillProcesses can unwind the ones still parked in a yield.
 	plist []*Process
-	// idle heads the free list of coroutines whose bodies returned,
-	// parked for reuse by the next Spawn.
-	idle *Process
 
 	// checkEvery/checkFn implement the host-side cancellation probe
 	// installed by SetCancelCheck. checkFn never influences a run that
@@ -291,15 +290,13 @@ func (e *Engine) Run() Time { return e.RunUntil(-1) }
 // RunUntil processes events until the queue is empty, Stop is called, or
 // the next event would fire after deadline (deadline < 0 means no
 // deadline). Events exactly at the deadline still fire. The clock is
-// advanced to the deadline if it is reached. On return, even by panic,
-// the coroutines pooled for reuse are released; live processes stay
+// advanced to the deadline if it is reached. Live processes stay
 // parked until they are resumed or killed.
 func (e *Engine) RunUntil(deadline Time) Time {
 	//vmplint:allow simclock wall-clock measurement only: Metrics.Wall reports host cost and never feeds simulated state
 	start := time.Now()
 	//vmplint:allow simclock wall-clock measurement only: Metrics.Wall reports host cost and never feeds simulated state
 	defer func() { e.metrics.Wall += time.Since(start) }()
-	defer e.releaseIdle()
 	e.stopped = false
 	for len(e.queue) > 0 && !e.stopped {
 		next := e.queue[0]

@@ -17,9 +17,10 @@ import (
 // wakes processes through the provided primitives (Delay, Signal,
 // Semaphore, Wake).
 //
-// When a body returns, its coroutine parks on the engine's free list
-// and the next Spawn reuses it together with this Process value, so a
-// *Process must not be used after its body has returned.
+// Each Spawn starts a fresh coroutine, which ends when its body
+// returns or KillProcesses unwinds it. A process that pauses for ever
+// lives until KillProcesses, so a long-lived server process (a board's
+// block copier) costs one coroutine per run, not one per request.
 type Process struct {
 	eng  *Engine
 	name string
@@ -40,8 +41,6 @@ type Process struct {
 	// stepFn is the step method value, bound once so the Delay/Wake hot
 	// path does not allocate a fresh closure per call.
 	stepFn func()
-	// nextIdle links the engine's free list of parked coroutines.
-	nextIdle *Process
 }
 
 // ProcessPanic is the value Run re-panics with when a process body
@@ -67,55 +66,30 @@ func (pp *ProcessPanic) String() string {
 // raises to unwind its body; the coroutine swallows it.
 type killSentinel struct{}
 
-// Spawn starts body as a new simulated process. The body begins executing
-// at the current simulated time, after already-queued events for this
-// instant. Spawn may be called both from outside Run and from within
-// event callbacks or other processes.
+// Spawn starts body as a new simulated process on a fresh coroutine.
+// The body begins executing at the current simulated time, after
+// already-queued events for this instant. Spawn may be called both from
+// outside Run and from within event callbacks or other processes.
 func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
-	p := e.takeIdle()
-	p.name, p.body = name, body
-	p.slot = len(e.plist)
+	p := &Process{eng: e, name: name, body: body, slot: len(e.plist)}
+	p.stepFn = p.step
+	p.next, p.stop = iter.Pull(p.run)
 	e.plist = append(e.plist, p)
 	e.Schedule(0, p.stepFn)
 	return p
 }
 
-// takeIdle pops a parked coroutine off the free list, or starts a new
-// one when the list is empty.
-//
-//vmplint:hotpath
-func (e *Engine) takeIdle() *Process {
-	if p := e.idle; p != nil {
-		e.idle = p.nextIdle
-		p.nextIdle = nil
-		return p
-	}
-	p := &Process{eng: e} //vmplint:allow hotalloc the coroutine free list grows to peak process concurrency once, then Spawn reuses it; the sim/spawn-exit micro pins 0 allocs/op
-	p.stepFn = p.step
-	p.next, p.stop = iter.Pull(p.run)
-	return p
-}
-
-// run is the coroutine's iterator function. It runs one body per
-// Spawn; when a body returns, the coroutine parks on the free list
-// until the next Spawn hands it another. A false yield ends it.
+// run is the coroutine's iterator function: it runs the body once. A
+// killed process is taken off the live list by KillProcesses.
 func (p *Process) run(yield func(struct{}) bool) {
 	p.yield = yield
-	for {
-		p.exec()
-		if p.killed {
-			return
-		}
+	p.exec()
+	if !p.killed {
 		p.eng.unlist(p)
-		p.body = nil
-		p.nextIdle, p.eng.idle = p.eng.idle, p
-		if !yield(struct{}{}) {
-			return
-		}
 	}
 }
 
-// exec runs the current body. A body panic is rewrapped as a
+// exec runs the body. A body panic is rewrapped as a
 // *ProcessPanic while the body's frames are still on the stack, and
 // leaves the coroutine through next. A kill's sentinel, and anything a
 // deferred call panics with while a kill unwinds the body, is
@@ -139,22 +113,14 @@ func (e *Engine) unlist(p *Process) {
 	e.plist = e.plist[:n]
 }
 
-// releaseIdle ends every coroutine parked on the free list, so that
-// none outlives the run.
-func (e *Engine) releaseIdle() {
-	for p := e.idle; p != nil; p = p.nextIdle {
-		p.stop()
-	}
-	e.idle = nil
-}
-
 // KillProcesses unwinds every live process: each parked yield returns
 // false and the body panics internally with a kill sentinel, so it
 // runs its defers and its coroutine ends instead of leaking. A process
 // whose body has not started never runs it. Call KillProcesses only
-// from outside Run (never from an event callback or process body),
-// after abandoning a cancelled or faulted simulation; the simulated
-// state is left as-is and must not be trusted afterwards.
+// from outside Run (never from an event callback or process body). It
+// ends processes that pause for ever, such as a board's block copier,
+// once a run has finished, and it abandons a cancelled or faulted
+// simulation, whose simulated state must not be trusted afterwards.
 func (e *Engine) KillProcesses() {
 	for len(e.plist) > 0 {
 		p := e.plist[len(e.plist)-1]
@@ -162,19 +128,14 @@ func (e *Engine) KillProcesses() {
 		p.stop()
 		e.unlist(p)
 	}
-	e.releaseIdle()
 }
 
 // Live reports the number of processes that have been spawned and have
-// not yet returned. A nonzero value after Run completes usually means a
-// process is blocked forever (a simulation deadlock).
+// not yet returned or been killed. After Run completes, a process that
+// pauses between requests (a block copier) counts as live until
+// KillProcesses; any other live process usually means a process is
+// blocked forever (a simulation deadlock).
 func (e *Engine) Live() int { return len(e.plist) }
-
-// Name returns the name given at Spawn.
-func (p *Process) Name() string { return p.name }
-
-// Engine returns the engine this process belongs to.
-func (p *Process) Engine() *Engine { return p.eng }
 
 // Now returns the current simulated time.
 func (p *Process) Now() Time { return p.eng.now }
@@ -264,13 +225,15 @@ func (s *Signal) Wait(p *Process) {
 }
 
 // Broadcast wakes every waiting process. The processes resume at the
-// current simulated time in the order they began waiting.
+// current simulated time in the order they began waiting. The waiter
+// list keeps its storage, so a signal waited on over and over does not
+// allocate.
 func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, p := range ws {
+	for _, p := range s.waiters {
 		p.Wake()
 	}
+	clear(s.waiters)
+	s.waiters = s.waiters[:0]
 }
 
 // WaitTimeout waits on the signal for at most d, reporting whether the
@@ -344,6 +307,3 @@ func (s *Semaphore) Release() {
 	}
 	s.count++
 }
-
-// Available reports the current count (ignoring waiters).
-func (s *Semaphore) Available() int { return s.count }

@@ -38,14 +38,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
-func (r *Rand) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("sim: Int63n with n <= 0")
-	}
-	return int64(r.Uint64() % uint64(n))
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -53,27 +45,6 @@ func (r *Rand) Float64() float64 {
 
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
-
-// ExpFloat64 returns an exponentially distributed float64 with mean 1.
-func (r *Rand) ExpFloat64() float64 {
-	u := r.Float64()
-	if u <= 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	return -math.Log(u)
-}
-
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1 (Box–Muller; one value per call keeps the state
-// machine trivial).
-func (r *Rand) NormFloat64() float64 {
-	u1 := r.Float64()
-	if u1 <= 0 {
-		u1 = math.SmallestNonzeroFloat64
-	}
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
 
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {

@@ -68,19 +68,6 @@ func TestFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := NewRand(11)
-	sum := 0.0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	mean := sum / n
-	if math.Abs(mean-1.0) > 0.03 {
-		t.Errorf("exponential mean %v, want ~1", mean)
-	}
-}
-
 func TestGeometricMean(t *testing.T) {
 	r := NewRand(13)
 	const p = 0.25
