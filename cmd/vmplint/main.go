@@ -27,7 +27,6 @@ func main() {
 	list := flag.Bool("list", false, "list the analyzers and the invariant each guards")
 	rules := flag.String("rules", "", "comma-separated rule subset to run (default: all; suppression auditing needs all)")
 	suppressed := flag.Bool("suppressed", false, "also print suppressed findings with their reasons")
-	jsonOut := flag.Bool("json", false, "emit all findings (suppressed included) as a JSON array on stdout")
 	sarifOut := flag.Bool("sarif", false, "emit all findings as a SARIF 2.1.0 log on stdout (for code-scanning upload)")
 	audit := flag.Bool("audit", false, "report only the suppression audit: unknown rules, missing reasons, stale //vmplint:allow comments")
 	flag.Usage = func() {
@@ -45,10 +44,6 @@ func main() {
 		return
 	}
 
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "vmplint: -json and -sarif are mutually exclusive")
-		os.Exit(2)
-	}
 	analyzers := lint.All()
 	if *rules != "" {
 		if *audit {
@@ -116,26 +111,16 @@ func main() {
 		failed = true
 	}
 
-	switch {
-	case *jsonOut:
-		if err := lint.WriteJSON(os.Stdout, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "vmplint:", err)
-			os.Exit(2)
-		}
-	case *sarifOut:
+	if *sarifOut {
 		if err := lint.WriteSARIF(os.Stdout, findings); err != nil {
 			fmt.Fprintln(os.Stderr, "vmplint:", err)
 			os.Exit(2)
 		}
-	default:
+	} else {
 		for _, f := range findings {
-			if f.Suppressed {
-				if *suppressed {
-					fmt.Println(f)
-				}
-				continue
+			if !f.Suppressed || *suppressed {
+				fmt.Println(f)
 			}
-			fmt.Println(f)
 		}
 	}
 
@@ -143,7 +128,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vmplint: findings above; fix them or add //vmplint:allow <rule> <reason> where the code is right")
 		os.Exit(1)
 	}
-	if !*jsonOut && !*sarifOut {
+	if !*sarifOut {
 		fmt.Printf("vmplint: %d package(s) clean (%d suppression(s) in effect)\n", len(pkgs), nSuppressed)
 	}
 }

@@ -3,181 +3,40 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
-// AtomicCheck enforces all-or-nothing atomicity per field: a struct
-// field that is ever accessed through sync/atomic — directly, or
-// through a package-local helper that forwards a pointer parameter to
-// sync/atomic (the telemetry CAS-helper shape) — must never be read or
-// written plainly. A single plain access next to a CAS loop is a data
-// race that the race detector only catches when the interleaving
-// happens to occur; this makes it a static fact.
-//
-// Plain access is allowed inside `init` functions and constructors
-// (functions named New*/new*): before the value is published there is
-// no concurrency to race with.
+// AtomicCheck requires typed atomics: every use of a package-level
+// sync/atomic function (atomic.AddUint64, atomic.LoadPointer, ...) is a
+// finding, whether called or taken as a function value. Those functions
+// operate on a plain word, and nothing stops other code from reading or
+// writing the same word plainly — a data race the race detector catches
+// only on the interleavings a run happens to produce. A typed atomic
+// (atomic.Int64, atomic.Pointer[T], ...) is accessible only through its
+// methods, so the compiler rejects the plain access; its methods are
+// allowed.
 var AtomicCheck = &Analyzer{
 	Name: "atomiccheck",
-	Doc: "a field accessed via sync/atomic (or a pointer-forwarding CAS helper) must never " +
-		"be accessed plainly outside init/constructor functions",
+	Doc: "use typed atomics (atomic.Int64, atomic.Uint64, ...): a package-level sync/atomic " +
+		"function operates on a plain word that other code can still access plainly",
 	Run: runAtomicCheck,
 }
 
 func runAtomicCheck(pass *Pass) {
-	funcs := packageFuncs(pass.Files)
-
-	decls := make(map[*types.Func]*ast.FuncDecl)
-	for _, fd := range funcs {
-		if obj, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-			decls[obj] = fd
-		}
-	}
-
-	// Pass 1: find atomically-accessed fields and atomic helper
-	// parameters, to a fixed point (helpers may forward to helpers).
-	atomicFields := make(map[*types.Var]bool)
-	atomicParams := make(map[*types.Func]map[int]bool) // param index used atomically
-	sanctioned := make(map[*ast.SelectorExpr]bool)     // &x.f occurrences at atomic call sites
-
-	paramIndex := func(fd *ast.FuncDecl, obj types.Object) int {
-		idx := 0
-		if fd.Recv != nil {
-			for _, f := range fd.Recv.List {
-				for _, n := range f.Names {
-					if pass.Info.Defs[n] == obj {
-						return -1 // receiver, not a forwardable param
-					}
-				}
-			}
-		}
-		for _, f := range fd.Type.Params.List {
-			for _, n := range f.Names {
-				if pass.Info.Defs[n] == obj {
-					return idx
-				}
-				idx++
-			}
-			if len(f.Names) == 0 {
-				idx++
-			}
-		}
-		return -1
-	}
-
-	// argIsAtomic handles one pointer argument of an atomic-reaching
-	// call: &x.f marks the field, a forwarded parameter marks the
-	// enclosing function as a helper.
-	argIsAtomic := func(fd *ast.FuncDecl, arg ast.Expr) bool {
-		changed := false
-		switch a := unparen(arg).(type) {
-		case *ast.UnaryExpr:
-			if sel, ok := unparen(a.X).(*ast.SelectorExpr); ok {
-				if s, ok := pass.Info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-					if f, ok := s.Obj().(*types.Var); ok {
-						if !atomicFields[f] {
-							atomicFields[f] = true
-							changed = true
-						}
-						sanctioned[sel] = true
-					}
-				}
-			}
-		case *ast.Ident:
-			obj := pass.Info.Uses[a]
-			if obj == nil {
-				break
-			}
-			if _, ok := obj.Type().(*types.Pointer); !ok {
-				break
-			}
-			if idx := paramIndex(fd, obj); idx >= 0 {
-				fn, _ := pass.Info.Defs[fd.Name].(*types.Func)
-				if fn != nil {
-					if atomicParams[fn] == nil {
-						atomicParams[fn] = make(map[int]bool)
-					}
-					if !atomicParams[fn][idx] {
-						atomicParams[fn][idx] = true
-						changed = true
-					}
-				}
-			}
-		}
-		return changed
-	}
-
-	for changed := true; changed; {
-		changed = false
-		for _, fd := range funcs {
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				callee := calleeFunc(pass.Info, call)
-				if callee == nil {
-					return true
-				}
-				if callee.Pkg() != nil && callee.Pkg().Path() == "sync/atomic" {
-					for _, arg := range call.Args {
-						if argIsAtomic(fd, arg) {
-							changed = true
-						}
-					}
-					return true
-				}
-				if idxs, ok := atomicParams[callee]; ok {
-					for i, arg := range call.Args {
-						if idxs[i] && argIsAtomic(fd, arg) {
-							changed = true
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-
-	if len(atomicFields) == 0 {
-		return
-	}
-
-	// Pass 2: flag plain accesses of atomic fields outside
-	// init/constructors.
-	for _, fd := range funcs {
-		if atomicExemptFunc(fd) {
-			continue
-		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
 			if !ok {
 				return true
 			}
-			s, ok := pass.Info.Selections[sel]
-			if !ok || s.Kind() != types.FieldVal {
+			fn, ok := pass.Info.Uses[id].(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" ||
+				fn.Type().(*types.Signature).Recv() != nil {
 				return true
 			}
-			f, ok := s.Obj().(*types.Var)
-			if !ok || !atomicFields[f] || sanctioned[sel] {
-				return true
-			}
-			owner := ""
-			if named := namedType(s.Recv()); named != nil {
-				owner = named.Obj().Name() + "."
-			}
-			pass.Reportf(sel.Sel.Pos(),
-				"field %s%s is accessed with sync/atomic elsewhere in this package but read/written plainly here",
-				owner, f.Name())
+			pass.Reportf(id.Pos(),
+				"sync/atomic.%s operates on a plain word; use a typed atomic so a plain access cannot compile",
+				fn.Name())
 			return true
 		})
 	}
-}
-
-// atomicExemptFunc reports whether plain access to atomic fields is
-// allowed inside fd: init functions and constructors, which run before
-// the value is shared.
-func atomicExemptFunc(fd *ast.FuncDecl) bool {
-	name := fd.Name.Name
-	return name == "init" || strings.HasPrefix(name, "New") || strings.HasPrefix(name, "new")
 }

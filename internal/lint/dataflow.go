@@ -8,16 +8,16 @@ import (
 )
 
 // This file is the suite's dataflow substrate: vmplint's v2 analyzers
-// (detsrc, lockdisc, atomiccheck, hotalloc, leakcheck) reason about
+// (detsrc, lockdisc, hotalloc, leakcheck) reason about
 // cross-statement and cross-function properties, which the original
 // syntax-local passes could not express. Rather than vendor
 // golang.org/x/tools/go/ssa (the module is dependency-free and builds
 // offline), the engine is a hand-rolled def-use layer over the
 // go/types-checked ASTs the loader already produces:
 //
-//   - function directives: //vmplint:hotpath, //vmplint:sanitizer and
-//     //vmplint:detsink comments attach machine-readable contracts to
-//     declarations (see funcDirectives);
+//   - function directives: //vmplint:hotpath and //vmplint:detsink
+//     comments attach machine-readable contracts to declarations (see
+//     funcDirectives);
 //   - a statement-level control-flow graph (buildCFG) precise enough
 //     for the must-style analyses the lock and leak checkers need:
 //     if/else, for/range loops with back edges, switch/type
@@ -27,8 +27,7 @@ import (
 //     (intersection at joins, with the standard top-initialisation so
 //     loops converge);
 //   - taint propagation in detsrc.go, a def-use walk with per-kind
-//     taint bits, package-local interprocedural summaries and a
-//     declared-sanitizer list.
+//     taint bits and package-local interprocedural summaries.
 
 // Directive comments recognised on function declarations.
 const (
@@ -36,9 +35,6 @@ const (
 	// hotalloc forbids allocating constructs inside it, turning the
 	// BENCH allocs/op gate into a compile-time fact.
 	hotpathDirective = "//vmplint:hotpath"
-	// sanitizerDirective marks a function whose results are
-	// deterministic regardless of argument taint (detsrc).
-	sanitizerDirective = "//vmplint:sanitizer"
 	// detsinkDirective marks a function whose arguments must be
 	// deterministic (detsrc reports tainted arguments at call sites).
 	detsinkDirective = "//vmplint:detsink"
@@ -46,7 +42,7 @@ const (
 
 // funcDirectives returns the vmplint directive set attached to a
 // function declaration: every //vmplint:<name> line in its doc comment
-// group, keyed without the prefix ("hotpath", "sanitizer", ...).
+// group, keyed without the prefix ("hotpath", "detsink").
 func funcDirectives(fd *ast.FuncDecl) map[string]bool {
 	if fd == nil || fd.Doc == nil {
 		return nil

@@ -23,9 +23,8 @@ import (
 // (stats.Table.Note assignments), and any function tagged
 // //vmplint:detsink (its arguments must be deterministic).
 //
-// Sanitizers: sort.* calls clear order taint (sorting is exactly how
-// map-derived data becomes deterministic), and functions tagged
-// //vmplint:sanitizer return clean values regardless of their inputs.
+// Sanitizer: sort.* calls clear order taint (sorting is exactly how
+// map-derived data becomes deterministic).
 //
 // Propagation is interprocedural within a package: a function's return
 // taints when its arguments taint (conservative) or when a source
@@ -35,7 +34,7 @@ var DetSrc = &Analyzer{
 	Name: "detsrc",
 	Doc: "nondeterministic values (wall clock, env, global rand, map order) must not reach " +
 		"fingerprints, canonical JSON, store keys, stats notes, or //vmplint:detsink functions; " +
-		"sort.* and //vmplint:sanitizer functions sanitize",
+		"sort.* sanitizes order",
 	Run: runDetSrc,
 }
 
@@ -95,8 +94,6 @@ func isSortCall(fn *types.Func) bool {
 // detFuncInfo is the per-function interprocedural summary.
 type detFuncInfo struct {
 	decl *ast.FuncDecl
-	// sanitizer: tagged //vmplint:sanitizer — returns clean always.
-	sanitizer bool
 	// detsink: tagged //vmplint:detsink — arguments must be clean.
 	detsink bool
 	// returnsAlways: taint bits the function returns even with clean
@@ -190,9 +187,6 @@ func (st *detState) callTaint(call *ast.CallExpr) int {
 		return 0
 	}
 	if info, ok := st.funcs[fn]; ok {
-		if info.sanitizer {
-			return 0
-		}
 		bits := info.returnsAlways
 		for _, a := range call.Args {
 			bits |= st.exprTaint(a)
@@ -305,8 +299,7 @@ func runDetSrc(pass *Pass) {
 		if !ok {
 			continue
 		}
-		dirs := funcDirectives(fd)
-		fi := &detFuncInfo{decl: fd, sanitizer: dirs["sanitizer"], detsink: dirs["detsink"]}
+		fi := &detFuncInfo{decl: fd, detsink: funcDirectives(fd)["detsink"]}
 		infos[obj] = fi
 		byDecl[fd] = fi
 	}
@@ -329,7 +322,7 @@ func runDetSrc(pass *Pass) {
 		changed := false
 		for _, fd := range funcs {
 			fi := byDecl[fd]
-			if fi == nil || fi.sanitizer {
+			if fi == nil {
 				continue
 			}
 			bits := 0

@@ -183,8 +183,8 @@ func TestHotAlloc(t *testing.T) {
 func TestAtomicCheck(t *testing.T) {
 	fs := runFixture(t, "atomiccheck", "vmp/internal/fixture/atomiccheck", AtomicCheck)
 	got := suppressedOnly(fs)
-	if len(got) != 1 || !strings.Contains(got[0].Reason, "torn reads") {
-		t.Errorf("want 1 suppressed finding with the snapshot reason, got %v", got)
+	if len(got) != 1 || !strings.Contains(got[0].Reason, "memory-mapped") {
+		t.Errorf("want 1 suppressed finding with the shared-mapping reason, got %v", got)
 	}
 }
 

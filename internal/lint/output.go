@@ -6,44 +6,11 @@ import (
 	"path/filepath"
 )
 
-// Machine-readable output. Two formats share the Finding slice that
-// Run returns: a flat JSON array for scripting, and SARIF 2.1.0 for
-// code-scanning uploads. Both are byte-deterministic for a given
-// finding list — Run already sorts findings, and the encoders below
-// emit fixed field orders — so the formats are golden-testable.
-
-// jsonFinding is the -json wire format for one finding.
-type jsonFinding struct {
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Column     int    `json:"column"`
-	Rule       string `json:"rule"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed"`
-	Reason     string `json:"reason,omitempty"`
-}
-
-// WriteJSON writes findings as an indented JSON array (never null:
-// zero findings encode as []). File paths are emitted as given —
-// relativize them before calling if the consumer needs portable
-// paths.
-func WriteJSON(w io.Writer, findings []Finding) error {
-	out := make([]jsonFinding, 0, len(findings))
-	for _, f := range findings {
-		out = append(out, jsonFinding{
-			File:       f.Pos.Filename,
-			Line:       f.Pos.Line,
-			Column:     f.Pos.Column,
-			Rule:       f.Rule,
-			Message:    f.Message,
-			Suppressed: f.Suppressed,
-			Reason:     f.Reason,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
+// Machine-readable output: SARIF 2.1.0 for code-scanning uploads,
+// built from the Finding slice that Run returns. The output is
+// byte-deterministic for a given finding list — Run already sorts
+// findings, and the encoder below emits fixed field orders — so it is
+// golden-testable.
 
 // SARIF 2.1.0 skeleton — only the fields code-scanning consumes.
 // Struct field order pins the output bytes.

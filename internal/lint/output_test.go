@@ -55,32 +55,12 @@ func goldenFindings(t *testing.T) []Finding {
 	return out
 }
 
-func TestWriteJSONGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, goldenFindings(t)); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "findings.json", buf.String())
-}
-
 func TestWriteSARIFGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteSARIF(&buf, goldenFindings(t)); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "findings.sarif", buf.String())
-}
-
-// TestWriteJSONEmpty pins the no-findings encoding: an empty array,
-// never null — downstream jq pipelines depend on it.
-func TestWriteJSONEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.String(); got != "[]\n" {
-		t.Errorf("WriteJSON(nil) = %q, want %q", got, "[]\n")
-	}
 }
 
 // TestWriteSARIFValid checks structural invariants the golden bytes

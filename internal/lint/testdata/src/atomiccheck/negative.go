@@ -1,30 +1,29 @@
-// Negative cases for atomiccheck: plain fields stay plain, typed
-// atomics are safe by construction, and init/constructors may
-// initialize before publication.
+// Negative cases for atomiccheck: typed atomics, whose methods are the
+// only way to reach the value, and plain fields that are never atomic.
 package atomiccheck
 
 import "sync/atomic"
 
 type gauge struct {
-	// level is only ever accessed atomically; value is never atomic.
 	level atomic.Int64
+	peak  atomic.Int64
 	value int64
 }
 
 func (g *gauge) Set(v int64)  { g.level.Store(v) }
 func (g *gauge) Get() int64   { return g.level.Load() }
-func (g *gauge) Plain() int64 { return g.value } // never atomic: fine
+func (g *gauge) Plain() int64 { return g.value }
 
-// newStats initializes atomic fields plainly before the value escapes.
-func newStats(seed uint64) *stats {
-	s := &stats{}
-	s.hits = seed
-	s.cold = 0
-	return s
+// Raise is a CAS loop on a typed atomic.
+func (g *gauge) Raise(v int64) {
+	for {
+		cur := g.peak.Load()
+		if v <= cur || g.peak.CompareAndSwap(cur, v) {
+			return
+		}
+	}
 }
 
-var shared stats
+var flag atomic.Pointer[gauge]
 
-func init() {
-	shared.hits = 1 // pre-publication: fine
-}
+func publish(g *gauge) *gauge { return flag.Swap(g) }

@@ -1,5 +1,5 @@
-// Fixture for the atomiccheck analyzer: fields accessed both through
-// sync/atomic and plainly.
+// Fixture for the atomiccheck analyzer: package-level sync/atomic
+// functions, each operating on a plain word.
 package atomiccheck
 
 import "sync/atomic"
@@ -9,28 +9,15 @@ type stats struct {
 	cold uint64
 }
 
-// Inc and Read access hits atomically — the discipline the rest of the
-// package must follow.
-func (s *stats) Inc()         { atomic.AddUint64(&s.hits, 1) }
-func (s *stats) Read() uint64 { return atomic.LoadUint64(&s.hits) }
+// Inc and Read reach the field through the function API; nothing stops
+// other code from reading s.hits plainly.
+func (s *stats) Inc()         { atomic.AddUint64(&s.hits, 1) }      // want "sync/atomic.AddUint64 operates on a plain word"
+func (s *stats) Read() uint64 { return atomic.LoadUint64(&s.hits) } // want "sync/atomic.LoadUint64 operates on a plain word"
 
-// Snapshot reads the same field plainly: a data race.
-func (s *stats) Snapshot() uint64 {
-	return s.hits // want "field stats.hits is accessed with sync/atomic elsewhere in this package but read/written plainly"
-}
-
-// Reset writes it plainly: also a race.
-func (s *stats) Reset() {
-	s.hits = 0 // want "field stats.hits is accessed with sync/atomic elsewhere in this package but read/written plainly"
-}
-
-// bump is a CAS-helper: it forwards its pointer parameter to
-// sync/atomic, so fields passed to it count as atomic too.
-func bump(p *uint64) { atomic.AddUint64(p, 1) }
+// bump is a CAS-style helper that forwards its pointer parameter.
+func bump(p *uint64) { atomic.AddUint64(p, 1) } // want "sync/atomic.AddUint64 operates on a plain word"
 
 func (s *stats) IncCold() { bump(&s.cold) }
 
-// PeekCold reads a helper-atomic field plainly.
-func (s *stats) PeekCold() uint64 {
-	return s.cold // want "field stats.cold is accessed with sync/atomic elsewhere in this package but read/written plainly"
-}
+// store takes the function as a value instead of calling it.
+var store = atomic.StoreUint64 // want "sync/atomic.StoreUint64 operates on a plain word"

@@ -1,9 +1,10 @@
-// Suppressed case for atomiccheck: a deliberately racy statistics
-// snapshot, annotated with its reason.
+// Suppressed case for atomiccheck: one function-API call, annotated
+// with its reason.
 package atomiccheck
 
-// Approx reads hits without synchronization for a monitoring surface
-// that tolerates staleness.
+import "sync/atomic"
+
+// Approx reads a counter another process updates in shared memory.
 func (s *stats) Approx() uint64 {
-	return s.hits //vmplint:allow atomiccheck monitoring snapshot tolerates torn reads by design
+	return atomic.LoadUint64(&s.cold) //vmplint:allow atomiccheck the word lives in a memory-mapped file whose layout is fixed
 }

@@ -24,19 +24,6 @@ func SortedKeys(m map[string]int) {
 	record(fmt.Sprint(keys))
 }
 
-// canonicalize is a declared sanitizer: its result is deterministic
-// regardless of its input.
-//
-//vmplint:sanitizer
-func canonicalize(v string) string {
-	return "canon:" + v
-}
-
-// Sanitized launders an environment read through the sanitizer.
-func Sanitized() {
-	record(canonicalize("x"))
-}
-
 // Plain passes an ordinary deterministic value.
 func Plain(spec string, n int) {
 	record(fmt.Sprintf("%s/%d", spec, n))
