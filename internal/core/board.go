@@ -264,7 +264,7 @@ func (b *Board) finishAccess(p *sim.Process, asid uint8, vaddr uint32, acc cache
 		case cache.Hit:
 			return nil
 		case cache.Miss:
-			retried, err := b.missFill(p, asid, vaddr, acc, attempt)
+			retried, err := b.missFill(p, asid, vaddr, acc, 0, attempt)
 			if err != nil {
 				return err
 			}
@@ -310,37 +310,51 @@ func (b *Board) PAddrOf(asid uint8, vaddr uint32) (uint32, bool) {
 // what to release. attempt is the caller's consecutive-retry count for
 // this reference (it scales the backoff); the retried result reports
 // whether this invocation ended in an abort.
-func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Access, attempt int) (retried bool, err error) {
+//
+// depth is 0 for a miss on the reference itself and positive for a
+// miss on a page-table reference made while translating (the handler
+// running again inside itself, §2). A nested miss lies inside its
+// parent's measurement, so its time counts in MissTime but not in the
+// miss-latency histogram, and its only phase event is one PhaseMiss
+// span flagged nested. It always reads shared, since page tables are
+// shared metadata under every protocol, and it leaves the page's VM
+// referenced and modified bits alone.
+func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Access, depth, attempt int) (retried bool, err error) {
 	t := b.timing()
 	start := p.Now()
 	defer func() {
 		d := p.Now() - start
 		b.stats.MissTime += d
-		b.missHist.Add(d.Micros())
+		if depth == 0 {
+			b.missHist.Add(d.Micros())
+		}
 		if b.sink != nil {
 			var fl uint8
+			if depth > 0 {
+				fl = obs.FlagNested
+			}
 			if retried {
-				fl = obs.FlagAborted
+				fl |= obs.FlagAborted
 			}
 			b.emitPhase(obs.PhaseMiss, start, d, asid, 0, fl)
 		}
 	}()
 
 	p.Delay(t.Handler.TrapEntry)
-	if b.sink != nil {
+	if b.sink != nil && depth == 0 {
 		b.emitPhase(obs.PhaseTrap, start, t.Handler.TrapEntry, asid, 0, 0)
 	}
 
 	// Translate first (the table walk may recursively miss and fill the
 	// page-table's own cache page, so the victim is chosen after).
 	ts := p.Now()
-	walk, err := b.translate(p, asid, vaddr, acc, 0)
+	walk, err := b.translate(p, asid, vaddr, acc, depth)
 	if err != nil {
 		return false, err
 	}
 	frame := b.frameOf(walk.PAddr)
 	pageAddr := b.frameAddr(frame)
-	if b.sink != nil {
+	if b.sink != nil && depth == 0 {
 		b.emitPhase(obs.PhaseTranslate, ts, p.Now()-ts, asid, pageAddr, 0)
 	}
 
@@ -349,17 +363,17 @@ func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acc
 	p.Delay(t.Handler.VictimSelect)
 	victim := b.Cache.SuggestVictim(vaddr)
 	b.evict(p, victim)
-	if b.sink != nil {
+	if b.sink != nil && depth == 0 {
 		b.emitPhase(obs.PhaseVictim, ts, p.Now()-ts, asid, pageAddr, 0)
 	}
 
 	// A reverse-lookup-table protocol first checks whether the frame is
 	// already cached under another virtual name and, if so, attaches
 	// the new name locally — no bus transaction, no self-competition.
-	wantPrivate := acc.Write || (b.readPrivateOnRead != nil && b.readPrivateOnRead(asid, vaddr))
+	wantPrivate := depth == 0 && (acc.Write || (b.readPrivateOnRead != nil && b.readPrivateOnRead(asid, vaddr)))
 	if b.proto.LocalSynonyms() && b.attachSynonym(p, victim, asid, vaddr, acc, frame, walk.PTE) {
 		p.Delay(t.Handler.Epilogue)
-		if b.sink != nil {
+		if b.sink != nil && depth == 0 {
 			b.emitPhase(obs.PhaseEpilogue, p.Now()-t.Handler.Epilogue, t.Handler.Epilogue, asid, pageAddr, 0)
 		}
 		return false, nil
@@ -367,7 +381,10 @@ func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acc
 
 	// Resolve our own aliases for the target frame before going to the
 	// bus, from local-memory state (see the monitor package comment).
-	op := b.proto.FillOp(wantPrivate)
+	op := bus.ReadShared
+	if depth == 0 {
+		op = b.proto.FillOp(wantPrivate)
+	}
 	b.resolveOwnAliases(p, frame, wantPrivate)
 
 	// Program the block copier; bookkeeping overlaps the transfer.
@@ -375,7 +392,7 @@ func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acc
 	b.Cop.Start(bus.Transaction{Op: op, PAddr: pageAddr, Bytes: b.pageSize()})
 	p.Delay(t.Handler.BookkeepRead)
 	res := b.Cop.Wait(p)
-	if b.sink != nil {
+	if b.sink != nil && depth == 0 {
 		var fl uint8
 		if res.Aborted {
 			fl = obs.FlagAborted
@@ -391,7 +408,7 @@ func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acc
 		p.Delay(b.retryBackoff(attempt))
 		b.resolveOwnConflict(p, frame)
 		b.ServiceInterrupts(p)
-		if b.sink != nil {
+		if b.sink != nil && depth == 0 {
 			b.emitPhase(obs.PhaseRetry, ts, p.Now()-ts, asid, pageAddr, 0)
 		}
 		return true, nil // Access re-looks-up and re-traps
@@ -411,14 +428,16 @@ func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acc
 	fi.slots = append(fi.slots, victim)
 	fi.state = st
 	b.m.checker.acquired(b.ID, frame, fi.state)
-	if acc.Write {
-		b.m.VM.SetModified(asid, vaddr)
-	} else {
-		b.m.VM.SetReferenced(asid, vaddr)
+	if depth == 0 {
+		if acc.Write {
+			b.m.VM.SetModified(asid, vaddr)
+		} else {
+			b.m.VM.SetReferenced(asid, vaddr)
+		}
 	}
 
 	p.Delay(t.Handler.Epilogue)
-	if b.sink != nil {
+	if b.sink != nil && depth == 0 {
 		b.emitPhase(obs.PhaseEpilogue, p.Now()-t.Handler.Epilogue, t.Handler.Epilogue, asid, pageAddr, 0)
 	}
 	return false, nil
@@ -545,7 +564,7 @@ func (b *Board) refNested(p *sim.Process, asid uint8, vaddr uint32, depth int) e
 		case cache.Hit:
 			return nil
 		case cache.Miss:
-			retried, err := b.missFillNested(p, asid, vaddr, acc, depth, attempt)
+			retried, err := b.missFill(p, asid, vaddr, acc, depth, attempt)
 			if err != nil {
 				return err
 			}
@@ -557,69 +576,6 @@ func (b *Board) refNested(p *sim.Process, asid uint8, vaddr uint32, depth int) e
 			return fmt.Errorf("core: unexpected %v on page-table reference %#x", res, vaddr)
 		}
 	}
-}
-
-// missFillNested serves a miss on a page-table reference made while
-// translating at the given recursion depth. It follows missFill's
-// sequence (trap, translate, victim, copy, fill) but is a separate copy:
-// the fill always reads shared and installs the frame shared, its only
-// phase event is one nested PhaseMiss span, its time counts in MissTime
-// but not in the miss-latency histogram (it lies inside the parent
-// miss's measurement), and it leaves the page's VM referenced and
-// modified bits alone.
-func (b *Board) missFillNested(p *sim.Process, asid uint8, vaddr uint32, acc cache.Access, depth, attempt int) (retried bool, err error) {
-	t := b.timing()
-	start := p.Now()
-	defer func() {
-		d := p.Now() - start
-		b.stats.MissTime += d
-		if b.sink != nil {
-			fl := uint8(obs.FlagNested)
-			if retried {
-				fl |= obs.FlagAborted
-			}
-			b.emitPhase(obs.PhaseMiss, start, d, asid, 0, fl)
-		}
-	}()
-
-	p.Delay(t.Handler.TrapEntry)
-	walk, err := b.translate(p, asid, vaddr, acc, depth)
-	if err != nil {
-		return false, err
-	}
-	frame := b.frameOf(walk.PAddr)
-	p.Delay(t.Handler.VictimSelect)
-	victim := b.Cache.SuggestVictim(vaddr)
-	b.evict(p, victim)
-	// Page-table pages are shared metadata under every protocol: the
-	// nested fill always reads shared (no exclusive-clean probing), but
-	// a reverse-lookup-table protocol still resolves synonyms locally.
-	if b.proto.LocalSynonyms() && b.attachSynonym(p, victim, asid, vaddr, acc, frame, walk.PTE) {
-		p.Delay(t.Handler.Epilogue)
-		return false, nil
-	}
-	b.resolveOwnAliases(p, frame, false)
-	b.Cop.Start(bus.Transaction{Op: bus.ReadShared, PAddr: b.frameAddr(frame), Bytes: b.pageSize()})
-	p.Delay(t.Handler.BookkeepRead)
-	if res := b.Cop.Wait(p); res.Aborted {
-		b.stats.Retries++
-		p.Delay(b.retryBackoff(attempt))
-		b.resolveOwnConflict(p, frame)
-		b.ServiceInterrupts(p)
-		return true, nil
-	}
-	b.Cache.Fill(victim, asid, vaddr, b.fillFlags(walk.PTE, psShared, acc))
-	b.slotFrame[victim] = frame
-	fi := b.frames[frame]
-	if fi == nil {
-		fi = &frameInfo{}
-		b.frames[frame] = fi
-	}
-	fi.slots = append(fi.slots, victim)
-	fi.state = psShared
-	b.m.checker.acquired(b.ID, frame, fi.state)
-	p.Delay(t.Handler.Epilogue)
-	return false, nil
 }
 
 // evict clears the suggested victim slot, writing its page back if it

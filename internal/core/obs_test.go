@@ -306,7 +306,9 @@ func TestSinkDisabledByDefault(t *testing.T) {
 }
 
 // TestNestedMissFlagged checks page-table fills are marked FlagNested
-// so phase analysis can separate them from top-level misses.
+// so phase analysis can separate them from top-level misses, and pins
+// what else a nested miss does differently: it stays out of the
+// miss-latency histogram and emits no phase span but its PhaseMiss.
 func TestNestedMissFlagged(t *testing.T) {
 	m, err := NewMachine(Config{
 		Processors: 1,
@@ -318,14 +320,28 @@ func TestNestedMissFlagged(t *testing.T) {
 		t.Fatal(err)
 	}
 	obsWorkload(t, m, 600)
-	var nested int
+	var nested, top, traps int
 	for _, e := range m.Sink().Stream() {
-		if e.Kind == obs.KindPhase && obs.Phase(e.Arg) == obs.PhaseMiss && e.Flags&obs.FlagNested != 0 {
+		if e.Kind != obs.KindPhase {
+			continue
+		}
+		switch {
+		case obs.Phase(e.Arg) == obs.PhaseMiss && e.Flags&obs.FlagNested != 0:
 			nested++
+		case obs.Phase(e.Arg) == obs.PhaseMiss:
+			top++
+		case obs.Phase(e.Arg) == obs.PhaseTrap:
+			traps++
 		}
 	}
 	if nested == 0 {
-		t.Skip("workload took no nested page-table miss (acceptable; depends on geometry)")
+		t.Fatal("workload took no nested page-table miss")
+	}
+	if got := m.Boards[0].MissLatency().Count(); got != uint64(top) {
+		t.Errorf("miss-latency histogram has %d samples, want one per top-level miss (%d)", got, top)
+	}
+	if traps != top {
+		t.Errorf("%d trap spans for %d top-level misses; a nested miss must emit none", traps, top)
 	}
 }
 
