@@ -82,19 +82,40 @@ func micros(ns int64) string { return fmt.Sprintf("%d.%03d", ns/1000, ns%1000) }
 func WriteTrace(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")
+	writeEventRows(rowWriter(bw), events)
+	bw.WriteString("\n]}\n")
+	return bw.Flush()
+}
 
-	// Thread-name metadata rows for every track the stream touches, in
-	// a fixed order so identical streams produce identical documents.
-	type track struct {
-		tid  int
-		name string
+// rowWriter returns a function that appends one trace-event row to bw,
+// separating rows with commas.
+func rowWriter(bw *bufio.Writer) func(string) {
+	first := true
+	return func(line string) {
+		if !first {
+			bw.WriteString(",\n")
+		}
+		first = false
+		bw.WriteString(line)
 	}
+}
+
+// emitTrack writes the metadata rows that name a track and fix its
+// place in the viewer.
+func emitTrack(emit func(string), tid int, name string, sortIndex int) {
+	emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":%q}}`, tid, name))
+	emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_sort_index","args":{"sort_index":%d}}`, tid, sortIndex))
+}
+
+// writeEventRows writes the track metadata for every track the event
+// stream touches, in a fixed order so identical streams produce
+// identical documents, then one row per event in stream order.
+func writeEventRows(emit func(string), events []Event) {
 	seen := map[int]bool{}
-	var tracks []track
 	addTrack := func(tid int, name string) {
 		if !seen[tid] {
+			emitTrack(emit, tid, name, len(seen))
 			seen[tid] = true
-			tracks = append(tracks, track{tid, name})
 		}
 	}
 	addTrack(busTID, "bus")
@@ -124,19 +145,6 @@ func WriteTrace(w io.Writer, events []Event) error {
 		addTrack(cpuTID(b), fmt.Sprintf("board%d", b))
 		addTrack(copierTID(b), fmt.Sprintf("board%d/copier", b))
 	}
-	first := true
-	emit := func(line string) {
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-		bw.WriteString(line)
-	}
-	for i, t := range tracks {
-		emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":%q}}`, t.tid, t.name))
-		emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_sort_index","args":{"sort_index":%d}}`, t.tid, i))
-	}
-
 	for _, e := range events {
 		tid := traceTID(e)
 		name := traceName(e)
@@ -153,6 +161,4 @@ func WriteTrace(w io.Writer, events []Event) error {
 				tid, micros(int64(e.Time)), name, args))
 		}
 	}
-	bw.WriteString("\n]}\n")
-	return bw.Flush()
 }

@@ -52,19 +52,9 @@ func WriteServiceTrace(w io.Writer, spans []telemetry.Span, events []Event) erro
 
 	bw := bufio.NewWriter(w)
 	bw.WriteString("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")
-	first := true
-	emit := func(line string) {
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-		bw.WriteString(line)
-	}
-
+	emit := rowWriter(bw)
 	for i, n := range names {
-		tid := tids[n]
-		emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":%q}}`, tid, "svc:"+n))
-		emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_sort_index","args":{"sort_index":%d}}`, tid, -maxSvcTracks+i))
+		emitTrack(emit, tids[n], "svc:"+n, -maxSvcTracks+i)
 	}
 	for _, s := range spans {
 		tid, ok := tids[s.Track]
@@ -83,53 +73,9 @@ func WriteServiceTrace(w io.Writer, spans []telemetry.Span, events []Event) erro
 				tid, micros(s.Start.Nanoseconds()), s.Name, args))
 		}
 	}
-
-	// Sim-event rows: same rendering as WriteTrace, inlined here so the
-	// combined document is a single JSON array.
-	type track struct {
-		tid  int
-		name string
-	}
-	seenTID := map[int]bool{}
-	var simTracks []track
-	addTrack := func(tid int, name string) {
-		if !seenTID[tid] {
-			seenTID[tid] = true
-			simTracks = append(simTracks, track{tid, name})
-		}
-	}
+	// A spans-only document gets no sim tracks, not even the bus.
 	if len(events) > 0 {
-		addTrack(busTID, "bus")
-	}
-	maxBoard := int16(-1)
-	for _, e := range events {
-		if e.Board > maxBoard {
-			maxBoard = e.Board
-		}
-	}
-	for b := int16(0); b <= maxBoard; b++ {
-		addTrack(cpuTID(b), fmt.Sprintf("board%d", b))
-		addTrack(copierTID(b), fmt.Sprintf("board%d/copier", b))
-	}
-	for i, t := range simTracks {
-		emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":%q}}`, t.tid, t.name))
-		emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_sort_index","args":{"sort_index":%d}}`, t.tid, i))
-	}
-	for _, e := range events {
-		tid := traceTID(e)
-		name := traceName(e)
-		args := fmt.Sprintf(`{"paddr":"%#08x","board":%d,"asid":%d`, e.PAddr, e.Board, e.ASID)
-		if fs := flagString(e.Flags &^ FlagConsistency); fs != "" {
-			args += fmt.Sprintf(`,"flags":%q`, fs)
-		}
-		args += "}"
-		if e.Dur > 0 {
-			emit(fmt.Sprintf(`{"ph":"X","pid":0,"tid":%d,"ts":%s,"dur":%s,"name":%q,"args":%s}`,
-				tid, micros(int64(e.Time)), micros(int64(e.Dur)), name, args))
-		} else {
-			emit(fmt.Sprintf(`{"ph":"i","pid":0,"tid":%d,"ts":%s,"s":"t","name":%q,"args":%s}`,
-				tid, micros(int64(e.Time)), name, args))
-		}
+		writeEventRows(emit, events)
 	}
 	bw.WriteString("\n]}\n")
 	return bw.Flush()

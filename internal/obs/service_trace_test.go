@@ -17,9 +17,14 @@ func TestWriteServiceTrace(t *testing.T) {
 		{Track: "store", Name: "put", Start: 5 * time.Millisecond, Dur: 300 * time.Microsecond, Note: "deadbeef"},
 		{Track: "cells", Name: "cell-done", Start: 4 * time.Millisecond, Dur: 0},
 	}
+	// The last three events come from a two-segment hierarchy: bus
+	// events tag their segment as 1+segment in the ASID byte.
 	events := []Event{
 		{Time: 100, Dur: 50, Kind: KindBus, Board: 0},
 		{Time: 200, Kind: KindIntr, Board: 1},
+		{Time: 300, Dur: 50, Kind: KindBus, Board: 0, ASID: 1},
+		{Time: 400, Dur: 50, Kind: KindBus, Board: 1, ASID: 2},
+		{Time: 500, Dur: 80, Kind: KindLink, Board: 1},
 	}
 	var buf bytes.Buffer
 	if err := WriteServiceTrace(&buf, spans, events); err != nil {
@@ -39,10 +44,12 @@ func TestWriteServiceTrace(t *testing.T) {
 
 	// Service tracks get tids in [svcTIDBase, boardTIDBase), named
 	// svc:<track> and sorted by track name; sim tracks keep their usual
-	// tids. Both worlds must be present in the one document.
+	// tids and names, bus segments and the link included. Both worlds
+	// must be present in the one document.
 	wantThreads := map[string]bool{
 		"svc:cells": false, "svc:job": false, "svc:store": false,
 		"bus": false, "board0": false, "board1": false,
+		"bus/seg0": false, "bus/seg1": false, "bus/link": false,
 	}
 	var spanRows, eventRows int
 	for _, e := range doc.TraceEvents {
