@@ -314,10 +314,6 @@ func (c *Cache) Downgrade(id SlotID) {
 	c.stats.Downgrades++
 }
 
-// ClearModified clears only the Modified bit (after a write-back that
-// retains ownership).
-func (c *Cache) ClearModified(id SlotID) { c.slots[id].Flags &^= Modified }
-
 // SetFlags replaces the permission/ownership flags of a slot, keeping
 // Valid.
 func (c *Cache) SetFlags(id SlotID, flags Flags) {

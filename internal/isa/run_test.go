@@ -377,69 +377,6 @@ func TestDisassemble(t *testing.T) {
 	}
 }
 
-// Two machine-code threads timesliced on ONE board: each sums its own
-// range; both finish with correct results, and the ASID tag keeps both
-// working sets cached across preemptions.
-func TestThreadsTimesliceOneBoard(t *testing.T) {
-	m := newMachine(t, 1)
-	src := `
-		; r10 = my data base (set via sys 2 by the host), sum 1..100
-		sys  2
-		addi r1, r0, 100
-		addi r2, r0, 0
-	loop:
-		add  r2, r2, r1
-		addi r1, r1, -1
-		bne  r1, r0, loop
-		sw   r2, 0(r10)
-		halt
-	`
-	prog := mustAssemble(t, src)
-	var threads []*Thread
-	for i := 0; i < 3; i++ {
-		asid := uint8(i + 1)
-		if err := Load(m, asid, prog, 0x10000); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Prefault(asid, []uint32{0x40000}); err != nil {
-			t.Fatal(err)
-		}
-		i := i
-		cfg := RunConfig{Base: 0x10000, MaxSteps: 100_000,
-			Syscall: func(c *core.CPU, regs *[16]uint32, n int32) {
-				if n == 2 {
-					regs[10] = 0x40000 + uint32(i)*0 // same VA, distinct ASID
-				}
-			}}
-		threads = append(threads, NewThread(asid, prog, cfg))
-	}
-	doneRan := false
-	ScheduleThreads(m, 0, threads, 40, func() { doneRan = true })
-	m.Run()
-	if !doneRan {
-		t.Fatal("scheduler never finished")
-	}
-	for i, th := range threads {
-		if th.Err() != nil {
-			t.Fatalf("thread %d: %v", i, th.Err())
-		}
-		if got := th.Result().Regs[2]; got != 5050 {
-			t.Errorf("thread %d sum = %d", i, got)
-		}
-		// Each thread's store went to its own address space.
-		w, err := m.VM.Translate(uint8(i+1), 0x40000, false, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := m.Mem.ReadWord(w.PAddr); got != 5050 {
-			t.Errorf("thread %d stored %d in its space", i, got)
-		}
-	}
-	if v := m.CheckInvariants(); len(v) != 0 {
-		t.Fatalf("violations: %v", v)
-	}
-}
-
 func TestThreadStepAfterHalt(t *testing.T) {
 	m := newMachine(t, 1)
 	prog := mustAssemble(t, "halt")

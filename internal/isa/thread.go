@@ -153,38 +153,3 @@ func boolTo(b bool) uint32 {
 	}
 	return 0
 }
-
-// ScheduleThreads timeslices machine-code threads round-robin on one
-// board: quantum instructions per slice, with the ASID register written
-// on each switch (the cache is not flushed — each thread's pages stay
-// live under its own tag). Programs must already be loaded. done, if
-// non-nil, runs after all threads halt.
-func ScheduleThreads(m *core.Machine, boardID int, threads []*Thread, quantum int, done func()) {
-	if quantum <= 0 {
-		quantum = 500
-	}
-	m.RunProgram(boardID, func(c *core.CPU) {
-		for {
-			live := 0
-			for _, t := range threads {
-				if t.Halted() {
-					continue
-				}
-				live++
-				c.SetASID(t.ASID)
-				c.Compute(50) // context-switch software cost
-				for i := 0; i < quantum; i++ {
-					if t.Step(c) {
-						break
-					}
-				}
-			}
-			if live == 0 {
-				if done != nil {
-					done()
-				}
-				return
-			}
-		}
-	})
-}

@@ -114,45 +114,6 @@ func Collect(src Source, max int) []Ref {
 	}
 }
 
-// Limit wraps a source, truncating it after n references.
-func Limit(src Source, n int) Source { return &limitSource{src: src, left: n} }
-
-type limitSource struct {
-	src  Source
-	left int
-}
-
-func (l *limitSource) Next() (Ref, bool) {
-	if l.left <= 0 {
-		return Ref{}, false
-	}
-	l.left--
-	return l.src.Next()
-}
-
-// Filter wraps a source, passing through only references for which keep
-// returns true.
-func Filter(src Source, keep func(Ref) bool) Source {
-	return &filterSource{src: src, keep: keep}
-}
-
-type filterSource struct {
-	src  Source
-	keep func(Ref) bool
-}
-
-func (f *filterSource) Next() (Ref, bool) {
-	for {
-		r, ok := f.src.Next()
-		if !ok {
-			return Ref{}, false
-		}
-		if f.keep(r) {
-			return r, true
-		}
-	}
-}
-
 // Concat chains sources back to back.
 func Concat(srcs ...Source) Source { return &concatSource{srcs: srcs} }
 

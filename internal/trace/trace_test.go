@@ -183,26 +183,6 @@ func TestParseTextErrors(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	src := Limit(NewSliceSource(sample()), 2)
-	if got := Collect(src, 0); len(got) != 2 {
-		t.Errorf("Limit gave %d refs, want 2", len(got))
-	}
-}
-
-func TestFilter(t *testing.T) {
-	src := Filter(NewSliceSource(sample()), func(r Ref) bool { return r.Super })
-	got := Collect(src, 0)
-	if len(got) != 2 {
-		t.Fatalf("filter gave %d refs, want 2", len(got))
-	}
-	for _, r := range got {
-		if !r.Super {
-			t.Errorf("non-supervisor ref passed filter: %v", r)
-		}
-	}
-}
-
 func TestConcat(t *testing.T) {
 	a := NewSliceSource(sample()[:2])
 	b := NewSliceSource(sample()[2:])

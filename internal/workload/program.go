@@ -125,8 +125,8 @@ func NewProgram(cfg ProgramConfig) *Program {
 	return p
 }
 
-// Next implements trace.Source. The stream is unbounded; wrap with
-// trace.Limit for a finite trace.
+// Next implements trace.Source. The stream is unbounded; take a finite
+// prefix with trace.Collect.
 func (p *Program) Next() (trace.Ref, bool) {
 	if p.pendingHead < len(p.pendingData) {
 		r := p.pendingData[p.pendingHead]
