@@ -178,8 +178,13 @@ func TestRunCellsCellDone(t *testing.T) {
 	}
 	done := make(chan CellResult, len(cells))
 	_, err := RunCells("done", cells, RunOptions{
-		Workers:  2,
-		CellDone: func(cr CellResult) { done <- cr },
+		Workers: 2,
+		CellDone: func(cr CellResult, rr *RunResult) {
+			if rr == nil || rr.Machine == nil {
+				t.Errorf("cell %s: CellDone got no run result", cr.Name)
+			}
+			done <- cr
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

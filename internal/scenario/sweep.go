@@ -17,9 +17,6 @@ type RunOptions struct {
 	// mean serial. Never wire data (json:"-"): options must not leak
 	// into any canonical encoding, since they cannot affect results.
 	Workers int `json:"-"`
-	// Progress, when non-nil, receives each cell's name as it completes
-	// (called from worker goroutines, completion order).
-	Progress func(name string) `json:"-"`
 	// Ctx cancels the sweep: workers stop claiming cells, in-flight
 	// cells stop promptly, and the sweep returns the context's error
 	// alongside the partial results. Nil means never cancelled. A
@@ -29,14 +26,11 @@ type RunOptions struct {
 	// simulator panic into that cell's Err/Dump instead of crashing the
 	// whole sweep. Guarding a panic-free sweep changes nothing.
 	Guard bool `json:"-"`
-	// CellDone, when non-nil, receives each completed cell result
-	// (called from worker goroutines, completion order).
-	CellDone func(cr CellResult) `json:"-"`
-	// ResultDone, when non-nil, additionally receives the full RunResult
-	// (machine attached) for each successfully simulated cell, before
-	// the machine is released. rr is nil when the cell errored. Like the
-	// other hooks it observes results; it cannot change them.
-	ResultDone func(cr CellResult, rr *RunResult) `json:"-"`
+	// CellDone, when non-nil, receives each completed cell result and
+	// its full RunResult, machine attached (called from worker
+	// goroutines, completion order). rr is nil when the cell errored.
+	// It observes results; it cannot change them.
+	CellDone func(cr CellResult, rr *RunResult) `json:"-"`
 }
 
 // CellResult is one grid point's machine-readable outcome —
@@ -136,14 +130,8 @@ func RunCells(name string, cells []Cell, opts RunOptions) (*SweepResult, error) 
 					cr.Violations = rr.Violations
 				}
 				res.Cells[i] = cr
-				if opts.Progress != nil {
-					opts.Progress(cr.Name)
-				}
 				if opts.CellDone != nil {
-					opts.CellDone(cr)
-				}
-				if opts.ResultDone != nil {
-					opts.ResultDone(cr, rr)
+					opts.CellDone(cr, rr)
 				}
 			}
 		}()

@@ -45,8 +45,6 @@ type Config struct {
 	MaxJobBudget time.Duration
 	// MaxCells caps a grid expansion (default 1024).
 	MaxCells int
-	// MaxBodyBytes caps a submission body (default 8 MB).
-	MaxBodyBytes int64
 	// StoreMaxBytes caps the result store's total object bytes;
 	// past it the least-recently-used records are evicted (swept at
 	// startup and after every put). 0 means unbounded.
@@ -54,15 +52,6 @@ type Config struct {
 	// Shed starts the daemon in load-shedding mode: compute
 	// submissions are rejected, cache hits still served.
 	Shed bool
-	// Metrics is the telemetry registry to register the daemon's
-	// metrics in; nil means the server creates its own (telemetry is on
-	// by default — /statsz and /metricsz are views over it).
-	Metrics *telemetry.Registry
-	// DisableTelemetry runs the daemon with nil telemetry handles: the
-	// single-branch disabled path throughout, no registry. /statsz
-	// counter fields then read zero. Only the overhead guard should
-	// want this; it is ignored when Metrics is set.
-	DisableTelemetry bool
 	// Log receives structured request/job logs; nil discards.
 	Log *slog.Logger
 }
@@ -92,14 +81,14 @@ func (c *Config) fillDefaults() {
 	if c.MaxCells <= 0 {
 		c.MaxCells = 1024
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
 }
 
 // maxJobs bounds the in-memory job table; past it the oldest terminal
 // jobs are evicted.
 const maxJobs = 1024
+
+// maxBodyBytes caps a submission body.
+const maxBodyBytes = 8 << 20
 
 // Server is the vmpd daemon core: admission control, the job queue and
 // runner, and the fingerprint-keyed result store, exposed as an
@@ -127,10 +116,9 @@ type Server struct {
 	// accounting).
 	jobActive atomic.Bool
 
-	// met holds the telemetry handles (all nil when telemetry is
-	// disabled); reg is the registry /metricsz renders. The counters
-	// that used to be hand-rolled atomics here now live in the
-	// registry, and /statsz reads them back through met.
+	// met holds the telemetry handles; reg is the registry /metricsz
+	// renders. The counters that used to be hand-rolled atomics here
+	// now live in the registry, and /statsz reads them back through met.
 	met *serverMetrics
 	reg *telemetry.Registry
 
@@ -162,10 +150,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: store eviction sweep: %w", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	reg := cfg.Metrics
-	if reg == nil && !cfg.DisableTelemetry {
-		reg = telemetry.NewRegistry()
-	}
+	reg := telemetry.NewRegistry()
 	logger := cfg.Log
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -190,11 +175,6 @@ func New(cfg Config) (*Server, error) {
 	go s.runner()
 	return s, nil
 }
-
-// Metrics exposes the telemetry registry (nil when telemetry is
-// disabled) so embedders can add their own metrics to the same
-// /metricsz page.
-func (s *Server) Metrics() *telemetry.Registry { return s.reg }
 
 // Store exposes the underlying result store (tests, tooling).
 func (s *Server) Store() *Store { return s.store }
@@ -279,7 +259,7 @@ func (s *Server) enqueue(j *job) bool {
 // event.
 func (s *Server) finishJob(j *job, state JobState, errMsg, dump string) {
 	kind := map[JobState]string{JobDone: "done", JobFailed: "failed", JobCanceled: "canceled"}[state]
-	cinc(s.met.jobsFinished.WithLabel(kind))
+	s.met.jobsFinished.WithLabel(kind).Inc()
 	j.update(func(v *JobView) {
 		v.State = state
 		v.Finished = time.Now().UTC()
@@ -316,17 +296,17 @@ func (s *Server) runJob(j *job) {
 	runStart := time.Now()
 	finish := func(state JobState, errMsg, dump string) {
 		j.recordSpan("job", "run", runStart, time.Now(), string(state))
-		hsince(s.met.runDur, runStart)
+		s.met.runDur.ObserveSince(runStart)
 		s.finishJob(j, state, errMsg, dump)
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			cinc(s.met.faultedCells)
+			s.met.faultedCells.Inc()
 			finish(JobFailed, fmt.Sprintf("job panicked: %v", r), string(debug.Stack()))
 		}
 	}()
 	j.recordSpan("job", "queue", j.epoch, runStart, "")
-	hsince(s.met.queueWait, j.epoch)
+	s.met.queueWait.ObserveSince(j.epoch)
 
 	ctx, cancel := context.WithTimeout(s.baseCtx, j.budget)
 	defer cancel()
@@ -348,7 +328,7 @@ func (s *Server) runJob(j *job) {
 	for i, cell := range work.cells {
 		fp := work.fps[i]
 		if _, err := s.getRecord(fp); err == nil {
-			cinc(s.met.cacheHitCells)
+			s.met.cacheHitCells.Inc()
 			j.markSpan("cells", "cache-hit", time.Now(), fp)
 			j.update(func(v *JobView) { v.DoneCells++; v.CacheHits++ })
 			j.emit(JobEvent{Kind: "cell", Cell: cell.Name, Fingerprint: fp, Cached: true})
@@ -362,20 +342,15 @@ func (s *Server) runJob(j *job) {
 			Workers: s.cfg.Workers,
 			Ctx:     ctx,
 			Guard:   true,
-			CellDone: func(cr scenario.CellResult) {
+			CellDone: func(cr scenario.CellResult, rr *scenario.RunResult) {
 				s.onCellDone(j, cr)
-			},
-		}
-		if captureTrace {
-			// Retain the sim event stream of traced jobs for the
-			// combined service+sim Perfetto export. Only specs that
-			// enabled obs streaming (spec.obs.stream) carry events.
-			opts.ResultDone = func(cr scenario.CellResult, rr *scenario.RunResult) {
-				if cr.Err != "" || rr == nil || rr.Machine == nil {
-					return
+				// Retain the sim event stream of traced jobs for the
+				// combined service+sim Perfetto export. Only specs that
+				// enabled obs streaming (spec.obs.stream) carry events.
+				if captureTrace && rr != nil {
+					j.addSimEvents(rr.Machine.Sink().Stream())
 				}
-				j.addSimEvents(rr.Machine.Sink().Stream())
-			}
+			},
 		}
 		_, err := s.runCells(j.view.Name, misses, opts)
 		if err != nil {
@@ -416,7 +391,7 @@ func firstCellError(j *job) string {
 // bytes).
 func (s *Server) onCellDone(j *job, cr scenario.CellResult) {
 	if cr.Err != "" {
-		cinc(s.met.faultedCells)
+		s.met.faultedCells.Inc()
 		j.markSpan("cells", "cell-failed", time.Now(), cr.Name)
 		j.update(func(v *JobView) {
 			v.DoneCells++
@@ -432,18 +407,18 @@ func (s *Server) onCellDone(j *job, cr scenario.CellResult) {
 	payload, err := encodeResult(cr)
 	if err == nil && ValidFingerprint(cr.Fingerprint) {
 		if old, gerr := s.store.Get(cr.Fingerprint); gerr == nil && !bytes.Equal(old, payload) {
-			cinc(s.met.mismatches)
+			s.met.mismatches.Inc()
 		}
 		putStart := time.Now()
 		if perr := s.store.Put(cr.Fingerprint, payload); perr == nil {
-			hsince(s.met.storePut, putStart)
+			s.met.storePut.ObserveSince(putStart)
 			j.recordSpan("store", "put", putStart, time.Now(), cr.Fingerprint)
 			if _, pending := s.repairPending.LoadAndDelete(cr.Fingerprint); pending {
-				cinc(s.met.repairedCells)
+				s.met.repairedCells.Inc()
 			}
 		}
 	}
-	cinc(s.met.computedCells)
+	s.met.computedCells.Inc()
 	j.markSpan("cells", "cell-done", time.Now(), cr.Fingerprint)
 	j.update(func(v *JobView) { v.DoneCells++ })
 	j.emit(JobEvent{Kind: "cell", Cell: cr.Name, Fingerprint: cr.Fingerprint})
@@ -539,10 +514,6 @@ func (s *Server) logRequests(next http.Handler) http.Handler {
 // handleMetricsz serves the Prometheus text exposition of the
 // telemetry registry.
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	if s.reg == nil {
-		httpError(w, http.StatusNotFound, "telemetry disabled")
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.reg.WritePrometheus(w)
 }
@@ -596,8 +567,8 @@ func shedError(w http.ResponseWriter, retryAfter time.Duration, why string) {
 // shed charges one shed submission to the global and per-client
 // counters.
 func (s *Server) shed(r *http.Request) {
-	cinc(s.met.shed)
-	cinc(s.met.clientShed.WithLabel(clientID(r)))
+	s.met.shed.Inc()
+	s.met.clientShed.WithLabel(clientID(r)).Inc()
 }
 
 // admit runs the shared admission checks for compute submissions:
@@ -610,8 +581,8 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 		return false
 	}
 	if ok, retry := s.quotas.Allow(clientID(r)); !ok {
-		cinc(s.met.quotaRejected)
-		cinc(s.met.clientQuota.WithLabel(clientID(r)))
+		s.met.quotaRejected.Inc()
+		s.met.clientQuota.WithLabel(clientID(r)).Inc()
 		shedError(w, retry, "client quota exhausted")
 		return false
 	}
@@ -698,9 +669,9 @@ type specResponse struct {
 // to the queue (or shed). ?wait=1 blocks until the job finishes and
 // returns the result inline.
 func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
-	cinc(s.met.submissions)
-	cinc(s.met.clientSubmits.WithLabel(clientID(r)))
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	s.met.submissions.Inc()
+	s.met.clientSubmits.WithLabel(clientID(r)).Inc()
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		httpError(w, http.StatusRequestEntityTooLarge, "reading body: %v", err)
 		return
@@ -733,7 +704,7 @@ func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 	// Cache hits are served even while shedding or over quota: they
 	// cost a disk read, not a simulation.
 	if payload, err := s.getRecord(fp); err == nil {
-		cinc(s.met.cacheHitCells)
+		s.met.cacheHitCells.Inc()
 		writeJSON(w, http.StatusOK, specResponse{Fingerprint: fp, Cached: true, Result: payload})
 		return
 	}
@@ -806,9 +777,9 @@ func (s *Server) waitAndReply(w http.ResponseWriter, r *http.Request, j *job, fp
 // handleGrid answers POST /v1/grids: expand, fingerprint every cell,
 // serve all-cached grids immediately, admit the rest to the queue.
 func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
-	cinc(s.met.submissions)
-	cinc(s.met.clientSubmits.WithLabel(clientID(r)))
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	s.met.submissions.Inc()
+	s.met.clientSubmits.WithLabel(clientID(r)).Inc()
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		httpError(w, http.StatusRequestEntityTooLarge, "reading body: %v", err)
 		return
@@ -850,7 +821,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	// record discovered here downgrades to a compute submission.
 	if cached == len(cells) {
 		if res, ok := s.assembleCached(grid.Name, cells, fps); ok {
-			cadd(s.met.cacheHitCells, int64(len(cells)))
+			s.met.cacheHitCells.Add(int64(len(cells)))
 			writeJSON(w, http.StatusOK, map[string]any{"cached": true, "sweep": res})
 			return
 		}
@@ -1043,7 +1014,7 @@ func (s *Server) Stats() StatsView {
 	}
 	// The counter fields are Value() reads over the telemetry registry
 	// — /statsz is a JSON view over the same source of truth /metricsz
-	// renders (zero when telemetry is disabled).
+	// renders.
 	hits, computed := s.met.cacheHitCells.Value(), s.met.computedCells.Value()
 	ratio := 0.0
 	if hits+computed > 0 {

@@ -6,13 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"vmp/internal/scenario"
+	"vmp/internal/telemetry"
 )
 
 // waitTerminal polls the job view until it reaches a terminal state.
@@ -311,107 +312,113 @@ func TestQuotaRefillExactBoundary(t *testing.T) {
 	}
 }
 
-func TestDisabledTelemetryStillServes(t *testing.T) {
-	s, ts := testServer(t, func(c *Config) { c.DisableTelemetry = true })
-	resp, body := post(t, ts.URL+"/v1/specs?wait=1", mustJSON(t, smallSpec("dark")), "c")
-	if resp.StatusCode != 200 {
-		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
-	}
-	if r, _ := get(t, ts.URL+"/metricsz"); r.StatusCode != 404 {
-		t.Errorf("/metricsz with telemetry disabled = %d, want 404", r.StatusCode)
-	}
-	// /statsz keeps its shape; the counters just read zero.
-	sv := stats(t, ts)
-	if sv.Submissions != 0 {
-		t.Errorf("disabled-telemetry submissions = %d, want 0", sv.Submissions)
-	}
-	if s.Metrics() != nil {
-		t.Error("DisableTelemetry left a live registry")
-	}
-}
-
-// TestTelemetryOverheadGuard is the CI 5% budget check: the full
-// enabled telemetry path (counters, histograms, spans, slog) against
-// the all-nil DisableTelemetry path, interleaved rounds, median vs
-// median. Opt-in via VMP_OVERHEAD_GUARD=1 because wall-clock ratios
-// are meaningless on loaded laptops.
+// TestTelemetryOverheadGuard is the CI 5% budget check, computed by
+// count: it runs macro-sized jobs, reads back from the registry how
+// many telemetry updates they made, prices each kind of update with
+// testing.Benchmark, and fails when count × cost exceeds 5% of the
+// jobs' run time (the vmpd_job_run_seconds sum). A count does not move
+// with the host's load the way a ratio of two wall times does. Opt-in
+// via VMP_OVERHEAD_GUARD=1 because pricing takes a few seconds.
 func TestTelemetryOverheadGuard(t *testing.T) {
 	if os.Getenv("VMP_OVERHEAD_GUARD") == "" {
 		t.Skip("set VMP_OVERHEAD_GUARD=1 to run the telemetry overhead guard")
 	}
+	s, _ := testServer(t, nil)
 
-	newServer := func(disable bool) (*Server, func()) {
-		dir, err := os.MkdirTemp("", "vmpd-guard-*")
+	const jobs = 8
+	for i := 0; i < jobs; i++ {
+		spec := smallSpec(fmt.Sprintf("guard-%d", i))
+		// Macro-sized cells so simulation work, not per-job fixed cost,
+		// is the denominator; unique ref counts defeat the cache (equal
+		// fingerprints would be served from disk).
+		spec.Workload.Refs = 20_000 + i
+		fp, err := spec.Fingerprint()
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(Config{
-			StoreDir:         filepath.Join(dir, "store"),
-			Workers:          2,
-			JobBudget:        30 * time.Second,
-			DisableTelemetry: disable,
-		})
+		j := s.newJobRecord("spec", spec.Name, "guard", jobWork{
+			cells: []scenario.Cell{{Name: spec.Name, Spec: spec}}, fps: []string{fp},
+		}, 30*time.Second)
+		if !s.enqueue(j) {
+			t.Fatal("queue full")
+		}
+		for !j.state().Terminal() {
+			time.Sleep(200 * time.Microsecond)
+		}
+		if st := j.state(); st != JobDone {
+			t.Fatalf("guard job state = %s", st)
+		}
+	}
+	if n := s.met.runDur.Count(); n != jobs {
+		t.Fatalf("vmpd_job_run_seconds counted %d jobs, want %d", n, jobs)
+	}
+	runNs := s.met.runDur.Sum() * 1e9
+
+	counters, children, observations := updateCounts(t, s.reg)
+	reg := telemetry.NewRegistry()
+	c := reg.Counter("vmp_guard_total", "")
+	f := reg.CounterFamily("vmp_guard_family_total", "", "state")
+	h := reg.Histogram("vmp_guard_seconds", "", nil)
+	start := time.Now()
+	incNs := nsPerOp(func() { c.Inc() })
+	childNs := nsPerOp(func() { f.WithLabel("done").Inc() })
+	observeNs := nsPerOp(func() { h.ObserveSince(start) })
+
+	costNs := float64(counters)*incNs + float64(children)*childNs + float64(observations)*observeNs
+	t.Logf("%d counter, %d family and %d histogram updates at %.1f, %.1f and %.1f ns: %.2f µs against %.1f ms of job run time (%.4f%%)",
+		counters, children, observations, incNs, childNs, observeNs, costNs/1e3, runNs/1e6, costNs/runNs*100)
+	if costNs > runNs*0.05 {
+		t.Errorf("telemetry updates cost %.1f%% of job run time, exceeds the 5%% budget (%.2f µs of %.1f ms)",
+			costNs/runNs*100, costNs/1e3, runNs/1e6)
+	}
+}
+
+// updateCounts reads back from the registry's exposition how many
+// updates were made of each kind: plain counter increments, family
+// child increments and histogram observations. Gauges are read at
+// scrape time and cost no update. Counters count one update per unit,
+// so a batched Add(n) is charged as n increments.
+func updateCounts(t *testing.T, reg *telemetry.Registry) (counters, children, observations int64) {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	kind := map[string]string{}
+	for _, ln := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+		if f := strings.Fields(ln); len(f) == 4 && f[1] == "TYPE" {
+			kind[f[2]] = f[3]
+		}
+		if strings.HasPrefix(ln, "#") {
+			continue
+		}
+		sp := strings.LastIndexByte(ln, ' ')
+		series, labeled := ln[:sp], false
+		if i := strings.IndexByte(series, '{'); i >= 0 {
+			series, labeled = series[:i], true
+		}
+		v, err := strconv.ParseFloat(ln[sp+1:], 64)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("exposition line %q: %v", ln, err)
 		}
-		return s, func() { s.Close(); os.RemoveAll(dir) }
-	}
-	enabled, cleanE := newServer(false)
-	disabled, cleanD := newServer(true)
-	defer cleanE()
-	defer cleanD()
-
-	seq := 0
-	round := func(s *Server) time.Duration {
-		const jobsPerRound = 4
-		start := time.Now()
-		for i := 0; i < jobsPerRound; i++ {
-			seq++
-			spec := smallSpec(fmt.Sprintf("guard-%d", seq))
-			// Macro-sized cells so simulation work, not per-job fixed
-			// cost, is the denominator; unique ref counts defeat the
-			// cache (equal fingerprints would be served from disk).
-			spec.Workload.Refs = 20_000 + seq
-			cell := scenario.Cell{Name: spec.Name, Spec: spec}
-			fp, err := spec.Fingerprint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			j := s.newJobRecord("spec", spec.Name, "guard", jobWork{
-				cells: []scenario.Cell{cell}, fps: []string{fp},
-			}, 30*time.Second)
-			if !s.enqueue(j) {
-				t.Fatal("queue full")
-			}
-			for !j.state().Terminal() {
-				time.Sleep(200 * time.Microsecond)
-			}
-			if st := j.state(); st != JobDone {
-				t.Fatalf("guard job state = %s", st)
-			}
+		switch {
+		case kind[series] == "counter" && !labeled:
+			counters += int64(v)
+		case kind[series] == "counter":
+			children += int64(v)
+		case strings.HasSuffix(series, "_count") && kind[strings.TrimSuffix(series, "_count")] == "histogram":
+			observations += int64(v)
 		}
-		return time.Since(start)
 	}
+	return counters, children, observations
+}
 
-	// Warmup both paths, then interleave measured rounds so machine
-	// drift hits both alike.
-	round(enabled)
-	round(disabled)
-	const rounds = 7
-	var on, off []time.Duration
-	for i := 0; i < rounds; i++ {
-		off = append(off, round(disabled))
-		on = append(on, round(enabled))
-	}
-	median := func(d []time.Duration) time.Duration {
-		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
-		return d[len(d)/2]
-	}
-	mOn, mOff := median(on), median(off)
-	t.Logf("telemetry enabled median %v, disabled median %v (ratio %.3f)",
-		mOn, mOff, float64(mOn)/float64(mOff))
-	if float64(mOn) > float64(mOff)*1.05 {
-		t.Errorf("telemetry overhead %.1f%% exceeds the 5%% budget (on=%v off=%v)",
-			(float64(mOn)/float64(mOff)-1)*100, mOn, mOff)
-	}
+// nsPerOp prices one operation with testing.Benchmark.
+func nsPerOp(op func()) float64 {
+	r := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			op()
+		}
+	})
+	return float64(r.T.Nanoseconds()) / float64(r.N)
 }

@@ -10,12 +10,8 @@ import (
 
 // WritePrometheus renders every registered metric in Prometheus text
 // exposition format (version 0.0.4). Output is deterministic: metrics
-// sort by name, family children by label value. A nil registry writes
-// nothing.
+// sort by name, family children by label value.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	names := make([]string, 0, len(r.metrics))
 	for name := range r.metrics {
@@ -44,8 +40,6 @@ func writeMetric(b *strings.Builder, m *metric) {
 	switch m.kind {
 	case kindCounter:
 		fmt.Fprintf(b, "%s %d\n", m.name, m.counter.Value())
-	case kindGauge:
-		fmt.Fprintf(b, "%s %d\n", m.name, m.gauge.Value())
 	case kindGaugeFunc:
 		fmt.Fprintf(b, "%s %s\n", m.name, formatFloat(m.fn()))
 	case kindHistogram:
@@ -57,7 +51,7 @@ func writeMetric(b *strings.Builder, m *metric) {
 
 func typeName(k metricKind) string {
 	switch k {
-	case kindGauge, kindGaugeFunc:
+	case kindGaugeFunc:
 		return "gauge"
 	case kindHistogram:
 		return "histogram"

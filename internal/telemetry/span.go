@@ -23,8 +23,7 @@ type Span struct {
 
 // SpanRecorder accumulates spans against a fixed epoch. It is not
 // goroutine-safe on its own; callers that share one (the serve job
-// object) already serialize through their own mutex. A nil recorder
-// discards, matching the package's nil-sink discipline.
+// object) already serialize through their own mutex.
 type SpanRecorder struct {
 	epoch time.Time
 	spans []Span
@@ -45,7 +44,7 @@ func NewSpanRecorder(epoch time.Time) *SpanRecorder {
 // Record adds a completed interval [start, end) on the given track.
 // Intervals before the epoch are clamped to it.
 func (sr *SpanRecorder) Record(track, name string, start, end time.Time, note string) {
-	if sr == nil || len(sr.spans) >= maxRecordedSpans {
+	if len(sr.spans) >= maxRecordedSpans {
 		return
 	}
 	if start.Before(sr.epoch) {
@@ -65,16 +64,10 @@ func (sr *SpanRecorder) Record(track, name string, start, end time.Time, note st
 
 // Mark adds a zero-duration span — an instant marker on a track.
 func (sr *SpanRecorder) Mark(track, name string, at time.Time, note string) {
-	if sr == nil {
-		return
-	}
 	sr.Record(track, name, at, at, note)
 }
 
 // Spans returns a copy of everything recorded so far.
 func (sr *SpanRecorder) Spans() []Span {
-	if sr == nil {
-		return nil
-	}
 	return append([]Span(nil), sr.spans...)
 }

@@ -1,25 +1,19 @@
 // Package telemetry is the service-side metrics subsystem: atomic
-// counters and gauges, fixed-bucket histograms, and a deterministic
-// registry that exposes everything in Prometheus text format. It is
-// the serving layer's analogue of internal/obs — where obs measures
-// the *simulated* machine on the simulated clock, telemetry measures
-// the *service* (vmpd) on the host clock: admission decisions, queue
-// waits, run durations, store latencies.
+// counters, gauges read at scrape time, fixed-bucket histograms, and a
+// deterministic registry that exposes everything in Prometheus text
+// format. It is the serving layer's analogue of internal/obs — where
+// obs measures the *simulated* machine on the simulated clock,
+// telemetry measures the *service* (vmpd) on the host clock: admission
+// decisions, queue waits, run durations, store latencies.
 //
-// Two disciplines carry over from the rest of the repo:
+// Telemetry has no off mode: every handle comes from a Registry, and
+// call sites update it directly. Its cost is counted instead: serve's
+// overhead guard multiplies the updates a job makes by each update's
+// measured cost.
 //
-//   - Nil-sink discipline: a nil *Counter, *Gauge or *Histogram
-//     discards; every emission site outside this package is guarded by
-//     a single `if c != nil` branch (enforced by vmplint's nilsink
-//     analyzer), so a component built without telemetry pays one
-//     predictable branch per site. A nil *Registry hands out nil
-//     handles, making "telemetry off" a constructor argument rather
-//     than a code path.
-//
-//   - Zero-alloc hot path: Counter.Add, Gauge.Set and
-//     Histogram.Observe never allocate (pinned by the perf suite's
-//     telemetry micros and the CI allocs gate), so instrumenting a hot
-//     loop cannot introduce GC pressure.
+// Counter.Add and Histogram.Observe never allocate (pinned by the perf
+// suite's telemetry micros and the CI allocs gate), so instrumenting a
+// hot loop cannot introduce GC pressure.
 //
 // Exposition is deterministic: metrics render sorted by name, label
 // children sorted by label value, so two registries holding the same
@@ -37,18 +31,18 @@ import (
 )
 
 // Counter is a monotonically increasing metric. The zero value is
-// usable; a nil *Counter discards. Counters are created through
-// Registry.Counter so they appear in the exposition.
+// usable; counters are created through Registry.Counter so they appear
+// in the exposition.
 type Counter struct {
 	v atomic.Int64
 }
 
-// Add increments the counter by n (no-op on a nil receiver; negative
-// deltas are ignored — counters only go up).
+// Add increments the counter by n (negative deltas are ignored —
+// counters only go up).
 //
 //vmplint:hotpath
 func (c *Counter) Add(n int64) {
-	if c == nil || n < 0 {
+	if n < 0 {
 		return
 	}
 	c.v.Add(n)
@@ -58,57 +52,17 @@ func (c *Counter) Add(n int64) {
 //
 //vmplint:hotpath
 func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
 	c.v.Add(1)
 }
 
-// Value returns the current count (0 for a nil counter).
+// Value returns the current count.
 func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
 	return c.v.Load()
-}
-
-// Gauge is a metric that can go up and down. A nil *Gauge discards.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the gauge value.
-//
-//vmplint:hotpath
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Add adjusts the gauge by n (may be negative).
-//
-//vmplint:hotpath
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
-// Value returns the current value (0 for a nil gauge).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // Histogram accumulates observations into fixed buckets chosen at
 // construction. Observe is lock-free and allocation-free: per-bucket
-// atomic counters plus an atomic float-bits sum. A nil *Histogram
-// discards.
+// atomic counters plus an atomic float-bits sum.
 type Histogram struct {
 	bounds []float64 // ascending upper bounds; an implicit +Inf bucket follows
 	counts []atomic.Int64
@@ -133,9 +87,6 @@ var StorePutBuckets = []float64{
 //
 //vmplint:hotpath
 func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
@@ -151,21 +102,14 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // ObserveSince records the elapsed host time since start, in seconds.
-// It shares Observe's nil tolerance and must be guarded like it.
 //
 //vmplint:hotpath
 func (h *Histogram) ObserveSince(start time.Time) {
-	if h == nil {
-		return
-	}
 	h.Observe(time.Since(start).Seconds())
 }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
 	var n int64
 	for i := range h.counts {
 		n += h.counts[i].Load()
@@ -175,9 +119,6 @@ func (h *Histogram) Count() int64 {
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
 	return math.Float64frombits(h.sum.Load())
 }
 
@@ -198,7 +139,6 @@ type metricKind uint8
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindGaugeFunc
 	kindHistogram
 	kindFamily
@@ -208,7 +148,7 @@ func (k metricKind) String() string {
 	switch k {
 	case kindCounter:
 		return "counter"
-	case kindGauge, kindGaugeFunc:
+	case kindGaugeFunc:
 		return "gauge"
 	case kindHistogram:
 		return "histogram"
@@ -226,19 +166,15 @@ type metric struct {
 	kind metricKind
 
 	counter *Counter
-	gauge   *Gauge
 	fn      func() float64
 	hist    *Histogram
 	family  *Family
 }
 
-// Registry holds named metrics and renders them deterministically. A
-// nil *Registry hands out nil handles from every constructor, so a
-// caller wired with a nil registry runs the disabled (one-branch)
-// path throughout. Constructors are idempotent: asking for an existing
-// name of the same kind returns the same handle; re-registering a name
-// as a different kind panics (a programming error, like a duplicate
-// flag).
+// Registry holds named metrics and renders them deterministically.
+// Constructors are idempotent: asking for an existing name of the same
+// kind returns the same handle; re-registering a name as a different
+// kind panics (a programming error, like a duplicate flag).
 type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]*metric
@@ -268,22 +204,9 @@ func (r *Registry) register(name, help string, kind metricKind, build func() *me
 
 // Counter registers (or returns) the counter with this name.
 func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
 	return r.register(name, help, kindCounter, func() *metric {
 		return &metric{counter: &Counter{}}
 	}).counter
-}
-
-// Gauge registers (or returns) the gauge with this name.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.register(name, help, kindGauge, func() *metric {
-		return &metric{gauge: &Gauge{}}
-	}).gauge
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at
@@ -291,9 +214,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // depth, tracked clients) and would otherwise need double bookkeeping.
 // fn must be safe to call from any goroutine.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	if r == nil {
-		return
-	}
 	r.register(name, help, kindGaugeFunc, func() *metric {
 		return &metric{fn: fn}
 	})
@@ -303,9 +223,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 // bounds are ascending upper bucket bounds; nil selects DefBuckets. An
 // implicit +Inf bucket is always present.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
 	return r.register(name, help, kindHistogram, func() *metric {
 		bs := bounds
 		if len(bs) == 0 {
@@ -333,8 +250,7 @@ const OverflowLabel = "~other"
 
 // Family is a set of counters sharing one name and distinguished by a
 // single label (e.g. per-client shed counts). Children are created on
-// demand, bounded by maxFamilyChildren. A nil *Family hands out nil
-// counters.
+// demand, bounded by maxFamilyChildren.
 type Family struct {
 	label string
 
@@ -345,9 +261,6 @@ type Family struct {
 
 // CounterFamily registers (or returns) a labeled counter family.
 func (r *Registry) CounterFamily(name, help, label string) *Family {
-	if r == nil {
-		return nil
-	}
 	validateName(label)
 	return r.register(name, help, kindFamily, func() *metric {
 		return &metric{family: &Family{label: label, children: make(map[string]*Counter)}}
@@ -359,9 +272,6 @@ func (r *Registry) CounterFamily(name, help, label string) *Family {
 // the overflow child. Label lookup takes a mutex — resolve the child
 // once and reuse the handle on genuinely hot paths.
 func (f *Family) WithLabel(value string) *Counter {
-	if f == nil {
-		return nil
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if c, ok := f.children[value]; ok {
