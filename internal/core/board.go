@@ -540,7 +540,7 @@ func (b *Board) translate(p *sim.Process, asid uint8, vaddr uint32, acc cache.Ac
 		// Demand-zero page fault (operating-system service).
 		b.stats.PageFaults++
 		p.Delay(t.PageFault)
-		res, ferr := b.m.VM.HandleFault(asid, vaddr, acc.Write, acc.Super, b.m.cfg.Policy)
+		res, ferr := b.m.VM.HandleFault(asid, vaddr, acc.Write, acc.Super, vm.DefaultPolicy)
 		if ferr != nil {
 			return vm.Walk{}, ferr
 		}

@@ -41,9 +41,6 @@ type Config struct {
 	// the hierarchical multi-bus interconnect (local bus segments joined
 	// by an inclusion-filtered inter-bus link, see bus.Hierarchy).
 	Topology bus.Topology
-	// Policy decides PTE permissions for demand-zero faults (nil =
-	// vm.DefaultPolicy).
-	Policy vm.PagePolicy
 	// Protocol names the coherence protocol from the internal/protocol
 	// registry ("" = the default 2-state "vmp2").
 	Protocol string
@@ -130,9 +127,6 @@ func (c *Config) FillDefaults() {
 	}
 	if c.Timing == (Timing{}) {
 		c.Timing = DefaultTiming()
-	}
-	if c.Policy == nil {
-		c.Policy = vm.DefaultPolicy
 	}
 	if c.Retry == (RetryPolicy{}) {
 		c.Retry = DefaultRetryPolicy()
@@ -376,7 +370,7 @@ func (m *Machine) Prefault(asid uint8, vaddrs []uint32) error {
 		if _, err := m.VM.Translate(asid, va, false, super); err == nil {
 			continue
 		}
-		if _, err := m.VM.HandleFault(asid, va, false, super, m.cfg.Policy); err != nil {
+		if _, err := m.VM.HandleFault(asid, va, false, super, vm.DefaultPolicy); err != nil {
 			return err
 		}
 	}

@@ -11,8 +11,9 @@ import (
 
 // protocolCompareGrid is the protocol sweep: one sharing-heavy planned
 // workload per registered coherence protocol, selected through the
-// spec's protocol field. ProtocolCompare reads the protocol list from
-// here, so the declarative form and the runner cannot drift.
+// spec's protocol field. ProtocolCompare reads the protocol list and
+// the machine shape from here, but runs the differential oracle's
+// planned workload at its own seed, not these cells.
 func protocolCompareGrid(Options) *scenario.Grid {
 	return &scenario.Grid{
 		Name: "protocol-compare",

@@ -7,9 +7,13 @@ import (
 
 // This file makes every registered experiment expressible as data: a
 // scenario.Grid describing the machines and workloads the experiment
-// sweeps. The sweeping experiments (fig4, assoc, scaling,
-// pagecontention, fault-sweep) read their axes FROM their grid, so the
-// declarative form and the imperative runner cannot drift; the
+// sweeps. Seven runners (fig4, assoc, scaling, topology,
+// pagecontention, fault-sweep, protocol-compare) read their axis
+// values FROM their grid; only those values are shared. A grid cell
+// runs seed 11 where its runner uses seedFor(seed, id), and several
+// runners build other machines or streams than their grid names
+// (DESIGN §11 lists them), so the event goldens pin the grid cells and
+// the EXPERIMENTS.md drift check pins the experiments. The
 // program-driven experiments (locks, ipc, workqueue, …) publish the
 // machine grid their closures run on, with workload kind "none" —
 // their reference streams are generated in code, not replayed from a

@@ -13,20 +13,21 @@ import (
 type DMADevice struct {
 	Name string
 	m    *core.Machine
-	// BlockSize is the burst length per bus transaction.
-	BlockSize int
 }
+
+// dmaBlockSize is a device's burst length per bus transaction.
+const dmaBlockSize = 256
 
 // NewDMADevice creates a device on the machine's bus.
 func NewDMADevice(m *core.Machine, name string) *DMADevice {
-	return &DMADevice{Name: name, m: m, BlockSize: 256}
+	return &DMADevice{Name: name, m: m}
 }
 
 // transfer runs the raw device transfer (no consistency protection) as
 // a simulation process and returns when it completes.
 func (d *DMADevice) transfer(p *sim.Process, paddr uint32, data []byte, write bool) {
-	for off := 0; off < len(data); off += d.BlockSize {
-		n := d.BlockSize
+	for off := 0; off < len(data); off += dmaBlockSize {
+		n := dmaBlockSize
 		if off+n > len(data) {
 			n = len(data) - off
 		}
