@@ -130,3 +130,36 @@ func TestBoolProbability(t *testing.T) {
 		t.Errorf("Bool(0.3) hit rate %v", frac)
 	}
 }
+
+// geometricFormula is the geometric draw as Rand.Geometric computed it:
+// log(1-p) is recomputed on every call.
+func geometricFormula(r *Rand, p float64) int {
+	if p >= 1 {
+		return 1
+	}
+	u := r.Float64()
+	if u <= 0 {
+		u = math.SmallestNonzeroFloat64
+	}
+	return 1 + int(math.Log(u)/math.Log(1-p))
+}
+
+// TestGeometricMatchesFormula checks the sampler against the formula on
+// the same Rand stream, for the success probabilities the workload
+// profiles use. For p >= 1 it also checks that no draw is consumed.
+func TestGeometricMatchesFormula(t *testing.T) {
+	for _, p := range []float64{1.0 / 8, 1.0 / 12, 1.0 / 24, 1.0 / 110, 1.0 / 130, 1.0 / 160, 1.0 / 190, 1, math.Inf(1)} {
+		got, want := NewRand(77), NewRand(77)
+		for i := 0; i < 10_000; i++ {
+			if g, w := got.Geometric(p), geometricFormula(want, p); g != w {
+				t.Fatalf("p=%v draw %d: %d, formula %d", p, i, g, w)
+			}
+		}
+		if p >= 1 && got.state != NewRand(77).state {
+			t.Fatalf("p=%v: the sampler consumed a draw", p)
+		}
+		if got.Uint64() != want.Uint64() {
+			t.Fatalf("p=%v: the sampler and the formula consumed different draws", p)
+		}
+	}
+}

@@ -49,8 +49,10 @@ func NewZipf(n int, s float64) *Zipf {
 func (z *Zipf) N() int { return len(z.cdf) }
 
 // Sample draws one value in [0, N()).
-func (z *Zipf) Sample(r *sim.Rand) int {
-	u := r.Float64()
+func (z *Zipf) Sample(r *sim.Rand) int { return z.index(r.Float64()) }
+
+// index returns the value a uniform draw u in [0, 1) selects.
+func (z *Zipf) index(u float64) int {
 	lo, hi := 0, len(z.cdf)-1
 	for lo < hi {
 		mid := (lo + hi) / 2
