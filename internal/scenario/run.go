@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"vmp/internal/core"
 	"vmp/internal/isa"
@@ -270,9 +271,73 @@ func boardRefs(s *Spec, i int) ([]trace.Ref, error) {
 	return refs, nil
 }
 
+// boardTasks builds every board's reference stream, each on its own
+// goroutine, and returns them in board order. A board's stream is one
+// task on ASID i+1, or with tasksPer > 0 its boardRefs stream split
+// into tasksPer consecutive tasks, each re-stamped with its own ASID
+// (allocated densely per (board, task), so boards never share a user
+// space). Each stream is a pure function of the spec and the board
+// index, so the result does not depend on goroutine scheduling. A
+// goroutine per board is bounded by the run itself, which holds every
+// board's stream until it ends.
+//
+// The lowest-numbered board's failure is reported, as a serial loop
+// would report it: its error is returned, or its panic (a spec asking
+// for more references than a slice can hold) is raised again on the
+// caller's goroutine, where RunGuarded contains it.
+func boardTasks(s *Spec, boards, tasksPer int) ([][]kernel.Task, error) {
+	tasks := make([][]kernel.Task, boards)
+	errs := make([]error, boards)
+	panics := make([]any, boards)
+	var wg sync.WaitGroup
+	for i := range tasks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[i] = recover() }()
+			refs, err := boardRefs(s, i)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			if tasksPer == 0 {
+				tasks[i] = []kernel.Task{{ASID: uint8(i + 1), Refs: refs}}
+				return
+			}
+			tasks[i] = make([]kernel.Task, tasksPer)
+			per := len(refs) / tasksPer
+			for t := range tasks[i] {
+				asid := uint8(1 + i*tasksPer + t)
+				lo, hi := t*per, (t+1)*per
+				if t == tasksPer-1 {
+					hi = len(refs)
+				}
+				part := refs[lo:hi]
+				for j := range part {
+					part[j].ASID = asid
+				}
+				tasks[i][t] = kernel.Task{ASID: asid, Refs: part}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if panics[i] != nil {
+			panic(panics[i])
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return tasks, nil
+}
+
 // attachTraces attaches a trace-driven CPU (or, with a scheduler spec,
 // a kernel round-robin scheduler over per-task slices) to every board.
 // It returns per-board scheduler stats sinks when scheduling is on.
+// The streams are generated concurrently; prefault and attach then run
+// serially in board order, so frames are allocated in the same order
+// whatever the host's parallelism.
 func attachTraces(m *core.Machine, s *Spec) ([]kernel.SchedStats, error) {
 	var k *kernel.Kernel
 	var pol kernel.SchedPolicy
@@ -293,51 +358,26 @@ func attachTraces(m *core.Machine, s *Spec) ([]kernel.SchedStats, error) {
 		}
 	}
 
+	all, err := boardTasks(s, len(m.Boards), tasksPer)
+	if err != nil {
+		return nil, err
+	}
 	stats := make([]kernel.SchedStats, len(m.Boards))
-	for i := range m.Boards {
-		refs, err := boardRefs(s, i)
-		if err != nil {
-			return nil, err
-		}
-		if tasksPer > 0 {
-			// Split the board's stream into tasks, each its own address
-			// space, and timeslice them through the kernel scheduler. ASIDs
-			// are allocated densely per (board, task) so boards never share
-			// a user space.
-			tasks := make([]kernel.Task, tasksPer)
-			per := len(refs) / tasksPer
-			for t := 0; t < tasksPer; t++ {
-				asid := uint8(1 + i*tasksPer + t)
-				lo, hi := t*per, (t+1)*per
-				if t == tasksPer-1 {
-					hi = len(refs)
-				}
-				part := make([]trace.Ref, hi-lo)
-				copy(part, refs[lo:hi])
-				for j := range part {
-					part[j].ASID = asid
-				}
-				tasks[t] = kernel.Task{ASID: asid, Refs: part}
-				if !s.Workload.NoPrefault {
-					if err := m.PrefaultTrace(part); err != nil {
-						return nil, err
-					}
-				} else if err := m.EnsureSpace(asid); err != nil {
+	for i, tasks := range all {
+		for _, t := range tasks {
+			if !s.Workload.NoPrefault {
+				if err := m.PrefaultTrace(t.Refs); err != nil {
 					return nil, err
 				}
+			} else if err := m.EnsureSpace(t.ASID); err != nil {
+				return nil, err
 			}
-			i := i
+		}
+		if tasksPer > 0 {
 			k.Schedule(i, tasks, pol, func(st kernel.SchedStats) { stats[i] = st })
 			continue
 		}
-		if !s.Workload.NoPrefault {
-			if err := m.PrefaultTrace(refs); err != nil {
-				return nil, err
-			}
-		} else if err := m.EnsureSpace(uint8(i + 1)); err != nil {
-			return nil, err
-		}
-		m.RunTrace(i, trace.NewSliceSource(refs))
+		m.RunTrace(i, trace.NewSliceSource(tasks[0].Refs))
 	}
 	if tasksPer > 0 {
 		return stats, nil

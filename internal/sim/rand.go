@@ -57,19 +57,33 @@ func (r *Rand) Perm(n int) []int {
 	return p
 }
 
-// Geometric returns a geometrically distributed int >= 1 with success
-// probability p in (0, 1]: the number of trials up to and including the
-// first success.
-func (r *Rand) Geometric(p float64) int {
+// Geometric samples a geometrically distributed int >= 1: the number
+// of trials up to and including the first success, for a success
+// probability fixed at construction. The zero value always returns 1.
+type Geometric struct {
+	lnq float64 // log(1-p), or 0 when p >= 1
+}
+
+// NewGeometric returns a sampler for success probability p > 0. For
+// p >= 1 every sample is 1 and consumes no draw. It panics if p <= 0.
+func NewGeometric(p float64) Geometric {
 	if p >= 1 {
-		return 1
+		return Geometric{}
 	}
 	if p <= 0 {
 		panic("sim: Geometric with p <= 0")
+	}
+	return Geometric{lnq: math.Log(1 - p)}
+}
+
+// Sample draws one value from r.
+func (g Geometric) Sample(r *Rand) int {
+	if g.lnq == 0 {
+		return 1
 	}
 	u := r.Float64()
 	if u <= 0 {
 		u = math.SmallestNonzeroFloat64
 	}
-	return 1 + int(math.Log(u)/math.Log(1-p))
+	return 1 + int(math.Log(u)/g.lnq)
 }

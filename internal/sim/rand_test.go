@@ -71,10 +71,11 @@ func TestFloat64Mean(t *testing.T) {
 func TestGeometricMean(t *testing.T) {
 	r := NewRand(13)
 	const p = 0.25
+	geo := NewGeometric(p)
 	sum := 0
 	const n = 100000
 	for i := 0; i < n; i++ {
-		g := r.Geometric(p)
+		g := geo.Sample(r)
 		if g < 1 {
 			t.Fatalf("Geometric returned %d < 1", g)
 		}
@@ -88,11 +89,21 @@ func TestGeometricMean(t *testing.T) {
 
 func TestGeometricPOne(t *testing.T) {
 	r := NewRand(1)
+	geo := NewGeometric(1.0)
 	for i := 0; i < 10; i++ {
-		if g := r.Geometric(1.0); g != 1 {
+		if g := geo.Sample(r); g != 1 {
 			t.Fatalf("Geometric(1) = %d, want 1", g)
 		}
 	}
+}
+
+func TestGeometricNonPositivePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewGeometric(0) did not panic")
+		}
+	}()
+	NewGeometric(0)
 }
 
 func TestPermIsPermutation(t *testing.T) {
@@ -131,8 +142,8 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-// geometricFormula is the geometric draw as Rand.Geometric computed it:
-// log(1-p) is recomputed on every call.
+// geometricFormula is the reference for Geometric.Sample: the same
+// draw with log(1-p) recomputed on every call.
 func geometricFormula(r *Rand, p float64) int {
 	if p >= 1 {
 		return 1
@@ -149,9 +160,10 @@ func geometricFormula(r *Rand, p float64) int {
 // profiles use. For p >= 1 it also checks that no draw is consumed.
 func TestGeometricMatchesFormula(t *testing.T) {
 	for _, p := range []float64{1.0 / 8, 1.0 / 12, 1.0 / 24, 1.0 / 110, 1.0 / 130, 1.0 / 160, 1.0 / 190, 1, math.Inf(1)} {
+		geo := NewGeometric(p)
 		got, want := NewRand(77), NewRand(77)
 		for i := 0; i < 10_000; i++ {
-			if g, w := got.Geometric(p), geometricFormula(want, p); g != w {
+			if g, w := geo.Sample(got), geometricFormula(want, p); g != w {
 				t.Fatalf("p=%v draw %d: %d, formula %d", p, i, g, w)
 			}
 		}

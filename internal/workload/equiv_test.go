@@ -71,8 +71,8 @@ func TestGenerateDigests(t *testing.T) {
 	}
 }
 
-// searchCDF is the binary search Zipf.Sample used before its guide
-// table: the smallest i with cdf[i] >= u, or the last index.
+// searchCDF is the reference for Zipf.index: a binary search for the
+// smallest i with cdf[i] >= u, or the last index.
 func searchCDF(cdf []float64, u float64) int {
 	lo, hi := 0, len(cdf)-1
 	for lo < hi {

@@ -65,6 +65,12 @@ type Program struct {
 	kdz  *Zipf // kernel data pages
 	mode mode
 
+	// Geometric draws: basic-block length, loop trip count and kernel
+	// burst length.
+	blockLen    sim.Geometric
+	loopTrip    sim.Geometric
+	kernelBurst sim.Geometric
+
 	pc        uint32 // current instruction address
 	blockLeft int    // instructions left in current basic block
 	stack     []frame
@@ -106,10 +112,13 @@ func NewProgram(cfg ProgramConfig) *Program {
 		panic("workload: ProgramConfig missing code structure")
 	}
 	p := &Program{
-		cfg: cfg,
-		rnd: sim.NewRand(cfg.Seed),
-		fz:  NewZipf(cfg.NumFuncs, cfg.FuncZipfS),
-		sp:  UserStackTop,
+		cfg:         cfg,
+		rnd:         sim.NewRand(cfg.Seed),
+		fz:          NewZipf(cfg.NumFuncs, cfg.FuncZipfS),
+		sp:          UserStackTop,
+		blockLen:    sim.NewGeometric(1 / float64(cfg.BlockLen)),
+		loopTrip:    sim.NewGeometric(1 / float64(cfg.MeanLoopTrip)),
+		kernelBurst: sim.NewGeometric(1 / float64(cfg.KernelBurst)),
 	}
 	if cfg.HotPages > 0 {
 		p.hz = NewZipf(cfg.HotPages, cfg.HeapZipfS)
@@ -218,7 +227,7 @@ func (p *Program) kernelFuncBase(i int) uint32 {
 }
 
 func (p *Program) nextBlockLen() int {
-	return p.rnd.Geometric(1 / float64(p.cfg.BlockLen))
+	return p.blockLen.Sample(p.rnd)
 }
 
 // advanceControl decides where the next instruction comes from: fall
@@ -275,7 +284,7 @@ func (p *Program) advanceControl() {
 		if p.loopStart < p.currentCodeBase() {
 			p.loopStart = p.currentCodeBase()
 		}
-		p.loopLeft = p.rnd.Geometric(1 / float64(p.cfg.MeanLoopTrip))
+		p.loopLeft = p.loopTrip.Sample(p.rnd)
 		p.pc = p.loopStart
 	case u < p.cfg.LoopProb+p.cfg.CallProb:
 		p.call()
@@ -342,7 +351,7 @@ func (p *Program) enterKernel() {
 	p.savedPC = p.pc
 	p.savedSP = p.sp
 	p.sp = KernelStackTop // the kernel runs on its own stack
-	p.kernelLeft = p.rnd.Geometric(1 / float64(p.cfg.KernelBurst))
+	p.kernelLeft = p.kernelBurst.Sample(p.rnd)
 	if p.kfz != nil {
 		p.pc = p.kernelFuncBase(p.kfz.Sample(p.rnd))
 	} else {
