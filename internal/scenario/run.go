@@ -271,19 +271,18 @@ func boardRefs(s *Spec, i int) ([]trace.Ref, error) {
 	return refs, nil
 }
 
-// boardTasks builds every board's reference stream, each on its own
-// goroutine, and returns them in board order. A board's stream is one
-// task on ASID i+1, or with tasksPer > 0 its boardRefs stream split
-// into tasksPer consecutive tasks, each re-stamped with its own ASID
-// (allocated densely per (board, task), so boards never share a user
-// space). Each stream is a pure function of the spec and the board
-// index, so the result does not depend on goroutine scheduling. A
-// goroutine per board is bounded by the run itself, which holds every
-// board's stream until it ends.
+// boardTasks builds every board's reference stream on its own goroutine
+// and returns the streams in board order. A board's stream is one task
+// on ASID i+1, or with tasksPer > 0 its boardRefs stream split into
+// tasksPer consecutive tasks, each re-stamped with ASID
+// 1+i*tasksPer+t so boards never share a user space. A stream is a
+// pure function of the spec and the board index, so the result does
+// not depend on scheduling. The goroutines need no bound beyond the
+// board count: the run holds every board's stream until it ends.
 //
 // The lowest-numbered board's failure is reported, as a serial loop
-// would report it: its error is returned, or its panic (a spec asking
-// for more references than a slice can hold) is raised again on the
+// would report it: its error is returned, or its panic (such as a
+// reference count too large for a slice) is raised again on the
 // caller's goroutine, where RunGuarded contains it.
 func boardTasks(s *Spec, boards, tasksPer int) ([][]kernel.Task, error) {
 	tasks := make([][]kernel.Task, boards)

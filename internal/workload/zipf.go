@@ -21,16 +21,14 @@ import (
 )
 
 // Zipf samples integers in [0, n) with probability proportional to
-// 1/(i+1)^s, using a precomputed cumulative table. A guide table finds
-// each draw's index in about one step, and returns the index a binary
-// search of the cumulative table would. It is deterministic given the
-// Rand passed to Sample.
+// 1/(i+1)^s, using a precomputed cumulative table and a guide table
+// into it. It is deterministic given the Rand passed to Sample.
 type Zipf struct {
 	cdf []float64
 	// guide[k] is the smallest i with cdf[i] >= k/len(guide), capped at
-	// n-1. len(guide) is a power of two, so u*len(guide) and
-	// k/len(guide) are exact.
-	guide []int
+	// n-1. len(guide) is the smallest power of two >= 2n, so u*len(guide)
+	// and k/len(guide) are exact and a draw scans about one entry.
+	guide []int32
 }
 
 // NewZipf builds a sampler over n items with exponent s >= 0.
@@ -52,13 +50,13 @@ func NewZipf(n int, s float64) *Zipf {
 	for m < 2*n {
 		m <<= 1
 	}
-	guide := make([]int, m)
+	guide := make([]int32, m)
 	i := 0
 	for k := range guide {
 		for i < n-1 && cdf[i] < float64(k)/float64(m) {
 			i++
 		}
-		guide[k] = i
+		guide[k] = int32(i)
 	}
 	return &Zipf{cdf: cdf, guide: guide}
 }
@@ -70,10 +68,11 @@ func (z *Zipf) N() int { return len(z.cdf) }
 func (z *Zipf) Sample(r *sim.Rand) int { return z.index(r.Float64()) }
 
 // index returns the value a uniform draw u in [0, 1) selects: the
-// smallest i with cdf[i] >= u, or N()-1. The guide entry for u's bucket
-// is at or below that i, and the scan walks up to it.
+// smallest i with cdf[i] >= u, or N()-1, as a binary search of cdf
+// would. The guide entry for u's bucket is at or below that i, and the
+// scan walks up to it.
 func (z *Zipf) index(u float64) int {
-	i := z.guide[int(u*float64(len(z.guide)))]
+	i := int(z.guide[int(u*float64(len(z.guide)))])
 	for i < len(z.cdf)-1 && z.cdf[i] < u {
 		i++
 	}
