@@ -173,7 +173,8 @@ func NewHierarchy(eng *sim.Engine, topo Topology, pageSize int) *Hierarchy {
 func (h *Hierarchy) SetInjector(inj Injector) { h.inj = inj }
 
 // SetSink attaches the observability sink; every transaction then emits
-// its trace events (nil detaches, costing one branch per event).
+// its trace events. A hierarchy built outside a machine has none, and
+// its events are discarded (Emit accepts a nil sink).
 func (h *Hierarchy) SetSink(s *obs.Sink) { h.sink = s }
 
 // SetObserver registers fn to run once per logical transaction with the
@@ -320,9 +321,6 @@ func (h *Hierarchy) charge(seg *segment, requester int, d sim.Time) {
 //
 //vmplint:hotpath
 func (h *Hierarchy) emit(kind obs.Kind, tx Transaction, dur sim.Time, tag uint8, fl uint8) {
-	if h.sink == nil {
-		return
-	}
 	h.sink.Emit(obs.Event{
 		Time: h.eng.Now(), Dur: dur, PAddr: tx.PAddr,
 		Board: int16(tx.Requester), ASID: tag,

@@ -144,19 +144,17 @@ func (c *Copier) transfer(p *sim.Process, tx bus.Transaction) {
 	} else {
 		c.stats.BytesMoved += uint64(tx.Bytes)
 	}
-	if c.sink != nil {
-		var fl uint8
-		if res.Aborted {
-			fl |= obs.FlagAborted
-		}
-		if reissued {
-			fl |= obs.FlagTransferErr
-		}
-		c.sink.Emit(obs.Event{
-			Time: start, Dur: p.Now() - start, PAddr: tx.PAddr,
-			Board: int16(c.boardID), Kind: obs.KindCopy, Arg: uint8(tx.Op), Flags: fl,
-		})
+	var fl uint8
+	if res.Aborted {
+		fl |= obs.FlagAborted
 	}
+	if reissued {
+		fl |= obs.FlagTransferErr
+	}
+	c.sink.Emit(obs.Event{
+		Time: start, Dur: p.Now() - start, PAddr: tx.PAddr,
+		Board: int16(c.boardID), Kind: obs.KindCopy, Arg: uint8(tx.Op), Flags: fl,
+	})
 	c.result = res
 	c.busy = false
 	c.done.Broadcast()

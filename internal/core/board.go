@@ -90,8 +90,8 @@ type Board struct {
 	// invocation, in microseconds (exponential buckets 1µs..1ms).
 	missHist *stats.Histogram
 
-	// sink is the run's observability sink (nil when tracing is off:
-	// every emission site below is guarded by one nil check).
+	// sink is the machine's observability sink, shared by every board;
+	// it is never nil, so emission sites need no guard.
 	sink *obs.Sink
 
 	// stats is indexed in the run's Recorder under "board<i>/..." names,
@@ -201,10 +201,9 @@ func (b *Board) noteRetry(n int) {
 }
 
 // emitPhase records one miss-handler phase span in the observability
-// sink. Callers must guard with `b.sink != nil` (the nil-sink
-// discipline: one predictable branch per event site).
+// sink. Nested (page-table) fills emit only their PhaseMiss, so the
+// miss handler's other phases are emitted under `depth == 0`.
 func (b *Board) emitPhase(ph obs.Phase, start, dur sim.Time, asid uint8, paddr uint32, flags uint8) {
-	//vmplint:allow nilsink documented contract: every caller guards with `b.sink != nil`, keeping one branch per emission site
 	b.sink.Emit(obs.Event{
 		Time: start, Dur: dur, PAddr: paddr, Board: int16(b.ID),
 		ASID: asid, Kind: obs.KindPhase, Arg: uint8(ph), Flags: flags,
@@ -328,20 +327,18 @@ func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acc
 		if depth == 0 {
 			b.missHist.Add(d.Micros())
 		}
-		if b.sink != nil {
-			var fl uint8
-			if depth > 0 {
-				fl = obs.FlagNested
-			}
-			if retried {
-				fl |= obs.FlagAborted
-			}
-			b.emitPhase(obs.PhaseMiss, start, d, asid, 0, fl)
+		var fl uint8
+		if depth > 0 {
+			fl = obs.FlagNested
 		}
+		if retried {
+			fl |= obs.FlagAborted
+		}
+		b.emitPhase(obs.PhaseMiss, start, d, asid, 0, fl)
 	}()
 
 	p.Delay(t.Handler.TrapEntry)
-	if b.sink != nil && depth == 0 {
+	if depth == 0 {
 		b.emitPhase(obs.PhaseTrap, start, t.Handler.TrapEntry, asid, 0, 0)
 	}
 
@@ -354,7 +351,7 @@ func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acc
 	}
 	frame := b.frameOf(walk.PAddr)
 	pageAddr := b.frameAddr(frame)
-	if b.sink != nil && depth == 0 {
+	if depth == 0 {
 		b.emitPhase(obs.PhaseTranslate, ts, p.Now()-ts, asid, pageAddr, 0)
 	}
 
@@ -363,7 +360,7 @@ func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acc
 	p.Delay(t.Handler.VictimSelect)
 	victim := b.Cache.SuggestVictim(vaddr)
 	b.evict(p, victim)
-	if b.sink != nil && depth == 0 {
+	if depth == 0 {
 		b.emitPhase(obs.PhaseVictim, ts, p.Now()-ts, asid, pageAddr, 0)
 	}
 
@@ -373,7 +370,7 @@ func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acc
 	wantPrivate := depth == 0 && (acc.Write || (b.readPrivateOnRead != nil && b.readPrivateOnRead(asid, vaddr)))
 	if b.proto.LocalSynonyms() && b.attachSynonym(p, victim, asid, vaddr, acc, frame, walk.PTE) {
 		p.Delay(t.Handler.Epilogue)
-		if b.sink != nil && depth == 0 {
+		if depth == 0 {
 			b.emitPhase(obs.PhaseEpilogue, p.Now()-t.Handler.Epilogue, t.Handler.Epilogue, asid, pageAddr, 0)
 		}
 		return false, nil
@@ -392,7 +389,7 @@ func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acc
 	b.Cop.Start(bus.Transaction{Op: op, PAddr: pageAddr, Bytes: b.pageSize()})
 	p.Delay(t.Handler.BookkeepRead)
 	res := b.Cop.Wait(p)
-	if b.sink != nil && depth == 0 {
+	if depth == 0 {
 		var fl uint8
 		if res.Aborted {
 			fl = obs.FlagAborted
@@ -408,7 +405,7 @@ func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acc
 		p.Delay(b.retryBackoff(attempt))
 		b.resolveOwnConflict(p, frame)
 		b.ServiceInterrupts(p)
-		if b.sink != nil && depth == 0 {
+		if depth == 0 {
 			b.emitPhase(obs.PhaseRetry, ts, p.Now()-ts, asid, pageAddr, 0)
 		}
 		return true, nil // Access re-looks-up and re-traps
@@ -437,7 +434,7 @@ func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acc
 	}
 
 	p.Delay(t.Handler.Epilogue)
-	if b.sink != nil && depth == 0 {
+	if depth == 0 {
 		b.emitPhase(obs.PhaseEpilogue, p.Now()-t.Handler.Epilogue, t.Handler.Epilogue, asid, pageAddr, 0)
 	}
 	return false, nil
@@ -613,13 +610,11 @@ func (b *Board) evict(p *sim.Process, victim cache.SlotID) {
 			p.Delay(b.retryBackoff(attempt))
 			res = b.Cop.Run(p, bus.Transaction{Op: bus.WriteBack, PAddr: b.frameAddr(frame), Bytes: b.pageSize()})
 		}
-		if b.sink != nil {
-			var fl uint8
-			if wbRetried {
-				fl = obs.FlagAborted
-			}
-			b.emitPhase(obs.PhaseWriteBack, ts, p.Now()-ts, 0, b.frameAddr(frame), fl)
+		var fl uint8
+		if wbRetried {
+			fl = obs.FlagAborted
 		}
+		b.emitPhase(obs.PhaseWriteBack, ts, p.Now()-ts, 0, b.frameAddr(frame), fl)
 		b.m.checker.released(b.ID, frame)
 	} else {
 		// Clean page (shared, or private-but-unmodified): drop the copy
@@ -675,13 +670,11 @@ func (b *Board) upgradeOwnership(p *sim.Process, asid uint8, vaddr uint32, attem
 	var upPA uint32
 	defer func() {
 		b.stats.MissTime += p.Now() - start
-		if b.sink != nil {
-			var fl uint8
-			if retried {
-				fl = obs.FlagAborted
-			}
-			b.emitPhase(obs.PhaseUpgrade, start, p.Now()-start, asid, upPA, fl)
+		var fl uint8
+		if retried {
+			fl = obs.FlagAborted
 		}
+		b.emitPhase(obs.PhaseUpgrade, start, p.Now()-start, asid, upPA, fl)
 	}()
 
 	p.Delay(t.Handler.TrapEntry)
@@ -791,13 +784,11 @@ func (b *Board) releaseOwnership(p *sim.Process, frame uint32, fi *frameInfo, ke
 			b.noteRetry(attempt + 1)
 			p.Delay(b.retryBackoff(attempt))
 		}
-		if b.sink != nil {
-			var fl uint8
-			if wbRetried {
-				fl = obs.FlagAborted
-			}
-			b.emitPhase(obs.PhaseWriteBack, ts, p.Now()-ts, 0, paddr, fl)
+		var fl uint8
+		if wbRetried {
+			fl = obs.FlagAborted
 		}
+		b.emitPhase(obs.PhaseWriteBack, ts, p.Now()-ts, 0, paddr, fl)
 	} else {
 		// Clean: no data to move, but the action-table entry must leave
 		// the Private state.
@@ -920,9 +911,7 @@ func (b *Board) ServiceInterrupts(p *sim.Process) {
 			p.Delay(b.timing().Handler.Interrupt)
 			b.handleWord(p, w)
 			b.stats.IntrTime += p.Now() - start
-			if b.sink != nil {
-				b.emitPhase(obs.PhaseIntrSvc, start, p.Now()-start, 0, w.PAddr, 0)
-			}
+			b.emitPhase(obs.PhaseIntrSvc, start, p.Now()-start, 0, w.PAddr, 0)
 		}
 		if !b.Mon.Dropped() {
 			return

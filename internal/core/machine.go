@@ -53,10 +53,11 @@ type Config struct {
 	// Watchdog attaches the protocol invariant watchdog (internal/check)
 	// to every bus transaction. It is implied by an enabled fault spec.
 	Watchdog bool
-	// Obs, when non-nil, attaches the observability sink (internal/obs):
+	// Obs configures the machine's observability sink (internal/obs):
 	// flight recorder, per-phase latency histograms, hot-page
 	// attribution, and (with Obs.Stream) the full event stream for
-	// Perfetto export. Nil costs one predictable branch per event site.
+	// Perfetto export. Nil selects the default: a ring of
+	// obs.DefaultRingSize events, dumped to stderr.
 	Obs *obs.Config
 	// Retry bounds the protocol retry loops (zero value = defaults).
 	Retry RetryPolicy
@@ -164,33 +165,11 @@ type Machine struct {
 
 	activeDrivers int
 	finishTimes   map[int]sim.Time
-
-	// runCtx, when set, is the context Run itself honors (see
-	// SetContext); nil means Run never cancels.
-	runCtx context.Context
 }
 
-// Canceled is the panic value Run raises when the context installed by
-// SetContext fires mid-run. It exists for call sites that cannot plumb
-// an error return through their driver structure (the experiments
-// registry): the run layer recovers it at its own boundary and turns
-// it back into the context's error. Code that can handle errors
-// normally should call RunCtx instead.
-type Canceled struct{ Err error }
-
-// Error implements error.
-func (c Canceled) Error() string { return "core: run canceled: " + c.Err.Error() }
-
-// SetContext installs ctx as the default run context: every subsequent
-// Run behaves like RunCtx(ctx), except that cancellation surfaces as a
-// Canceled panic (Run's signature has no error). Use it to thread
-// cancellation through drivers that call Run deep inside otherwise
-// error-free code paths; pair it with a recover boundary that unwraps
-// Canceled.
-func (m *Machine) SetContext(ctx context.Context) { m.runCtx = ctx }
-
-// NewMachine builds the machine: engine, bus, memory, VM, and one board
-// (cache + monitor + copier) per processor.
+// NewMachine builds the machine: engine, bus, memory, VM, the
+// observability sink, and one board (cache + monitor + copier) per
+// processor.
 func NewMachine(cfg Config) (*Machine, error) {
 	cfg.FillDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -216,10 +195,12 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.BusTiming != (bus.Timing{}) {
 		ic.SetTiming(cfg.BusTiming)
 	}
+	var oc obs.Config
 	if cfg.Obs != nil {
-		m.sink = obs.NewSink(*cfg.Obs, eng.Now)
-		ic.SetSink(m.sink)
+		oc = *cfg.Obs
 	}
+	m.sink = obs.NewSink(oc, eng.Now)
+	ic.SetSink(m.sink)
 	stats.Register(eng.Recorder(), "check/starvation-events", &m.starve)
 	for i := 0; i < cfg.Processors; i++ {
 		m.Boards = append(m.Boards, newBoard(m, i))
@@ -243,16 +224,13 @@ func NewMachine(cfg Config) (*Machine, error) {
 		for _, b := range m.Boards {
 			m.watch.Attach(boardView{b})
 		}
-		if m.sink != nil {
-			// Dump the flight recorder the moment the first violation is
-			// recorded, while the events leading up to it are still in the
-			// ring (AutoDump is once-only; later violations are no-ops).
-			m.watch.SetViolationHook(func(msg string) {
-				//vmplint:allow nilsink hook is installed only under the enclosing `m.sink != nil` and the sink is immutable after construction
-				m.sink.Emit(obs.Event{Time: m.sink.Now(), Kind: obs.KindViolation})
-				m.sink.AutoDump("protocol violation: " + msg)
-			})
-		}
+		// Dump the flight recorder the moment the first violation is
+		// recorded, while the events leading up to it are still in the
+		// ring (AutoDump is once-only; later violations are no-ops).
+		m.watch.SetViolationHook(func(msg string) {
+			m.sink.Emit(obs.Event{Time: m.sink.Now(), Kind: obs.KindViolation})
+			m.sink.AutoDump("protocol violation: " + msg)
+		})
 	}
 	if m.inj != nil || m.watch != nil {
 		ic.SetObserver(m.observeBus)
@@ -345,7 +323,7 @@ func (v boardView) ForEachHeld(fn func(frame uint32, h check.Hold)) {
 // Config returns the (default-filled) machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// Sink returns the observability sink, or nil when tracing is off.
+// Sink returns the machine's observability sink; it is never nil.
 func (m *Machine) Sink() *obs.Sink { return m.sink }
 
 // EnsureSpace creates the address space if it does not exist yet.
@@ -512,18 +490,9 @@ func (m *Machine) driverDone(boardID int, p *sim.Process) {
 }
 
 // Run executes the simulation until all drivers finish and every bus
-// monitor FIFO is drained, then returns the final simulated time. When
-// a context installed via SetContext fires mid-run, Run panics with
-// Canceled (see SetContext).
+// monitor FIFO is drained, then returns the final simulated time.
 func (m *Machine) Run() sim.Time {
-	ctx := m.runCtx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	t, err := m.RunCtx(ctx)
-	if err != nil {
-		panic(Canceled{Err: err})
-	}
+	t, _ := m.RunCtx(context.Background())
 	return t
 }
 
@@ -603,7 +572,7 @@ func (m *Machine) Performance(boardID int) float64 {
 // called at a quiescent point (after Run). It returns all violations.
 func (m *Machine) CheckInvariants() []string {
 	out := m.checkInvariants()
-	if len(out) > 0 && m.sink != nil {
+	if len(out) > 0 {
 		// Post-run violations (quiescent sweeps, local-table checks) have
 		// no mid-run hook; dump the flight recorder now if the watchdog
 		// hook has not already done so.

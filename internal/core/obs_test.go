@@ -289,20 +289,33 @@ func TestTraceExportValidUnderFaultClasses(t *testing.T) {
 	}
 }
 
-// TestSinkDisabledByDefault pins the nil discipline: a machine built
-// without Config.Obs has no sink anywhere.
-func TestSinkDisabledByDefault(t *testing.T) {
+// TestSinkOnByDefault: a machine built without Config.Obs has one
+// sink, a ring of obs.DefaultRingSize events shared by every board, and
+// a contended run shows the bus, the miss handler, the monitors and the
+// copiers all emitting into it.
+func TestSinkOnByDefault(t *testing.T) {
 	m := newTestMachine(t, 2)
-	if m.Sink() != nil {
-		t.Error("machine without Config.Obs has a sink")
-	}
+	sink := m.Sink()
 	for _, b := range m.Boards {
-		if b.sink != nil {
-			t.Errorf("board %d has a sink on a machine without Config.Obs", b.ID)
+		if b.sink != sink {
+			t.Errorf("board %d does not share the machine's sink", b.ID)
 		}
 	}
-	obsWorkload(t, m, 200)
+	obsWorkload(t, m, 1500)
 	checkClean(t, m)
+	ring := sink.Ring()
+	if sink.Total() <= obs.DefaultRingSize || len(ring) != obs.DefaultRingSize {
+		t.Fatalf("ring holds %d of %d events, want the newest %d", len(ring), sink.Total(), obs.DefaultRingSize)
+	}
+	seen := make(map[obs.Kind]bool)
+	for _, e := range ring {
+		seen[e.Kind] = true
+	}
+	for _, k := range []obs.Kind{obs.KindBus, obs.KindPhase, obs.KindIntr, obs.KindCopy} {
+		if !seen[k] {
+			t.Errorf("no %v event among the newest %d of a contended run", k, len(ring))
+		}
+	}
 }
 
 // TestNestedMissFlagged checks page-table fills are marked FlagNested

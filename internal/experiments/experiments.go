@@ -15,7 +15,6 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -24,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vmp/internal/core"
 	"vmp/internal/fault"
 	"vmp/internal/stats"
 )
@@ -50,12 +48,6 @@ type Options struct {
 	// aggregate engine metrics after the runner returns. It is shared by
 	// value copies of Options and nil when a runner is called directly.
 	track *engineTrack
-
-	// ctx, when non-nil, cancels every machine an experiment builds
-	// through the Options helpers (see RunAllCtx). Cancellation
-	// surfaces as a core.Canceled panic inside the runner, recovered at
-	// the runOne boundary.
-	ctx context.Context
 }
 
 // DefaultOptions runs experiments at full fidelity.
@@ -251,27 +243,13 @@ func Run(id string, o Options) (*Result, error) {
 // runOne executes one experiment with its derived seed and a fresh
 // engine tracker, and stamps the aggregated engine metrics on the
 // result. It is the single execution path shared by Run and RunAll, so
-// an experiment behaves identically however it is invoked. A run
-// context cancellation (which unwinds the runner as a core.Canceled
-// panic, since runners call Machine.Run deep inside error-free driver
-// code) is recovered here and reported as the context's error.
-func runOne(e *Experiment, o Options) (res *Result, err error) {
+// an experiment behaves identically however it is invoked.
+func runOne(e *Experiment, o Options) (*Result, error) {
 	ro := o
 	ro.Seed = seedFor(o.Seed, e.ID)
 	ro.track = &engineTrack{}
 	start := time.Now()
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		c, ok := r.(core.Canceled)
-		if !ok {
-			panic(r)
-		}
-		res, err = nil, fmt.Errorf("%s: %w", e.ID, c.Err)
-	}()
-	res, err = e.Run(ro)
+	res, err := e.Run(ro)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", e.ID, err)
 	}
@@ -286,18 +264,6 @@ func runOne(e *Experiment, o Options) (res *Result, err error) {
 // experiment ID, not from scheduling order. Failed experiments are
 // omitted from the results and their errors joined.
 func RunAll(o Options, workers int) ([]*Result, error) {
-	return RunAllCtx(context.Background(), o, workers)
-}
-
-// RunAllCtx is RunAll with a cancellation context: when ctx fires,
-// in-flight experiments stop promptly (their machines' event loops
-// poll the context and unwind their coroutines), no new experiments
-// start, and the cancelled runs report the context's error. A context
-// that never fires leaves every result byte-identical to RunAll.
-func RunAllCtx(ctx context.Context, o Options, workers int) ([]*Result, error) {
-	if ctx != nil && ctx.Done() != nil {
-		o.ctx = ctx
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -317,10 +283,6 @@ func RunAllCtx(ctx context.Context, o Options, workers int) ([]*Result, error) {
 				i := int(next.Add(1)) - 1
 				if i >= len(Registry) {
 					return
-				}
-				if o.ctx != nil && o.ctx.Err() != nil {
-					errs[i] = fmt.Errorf("%s: %w", Registry[i].ID, o.ctx.Err())
-					continue
 				}
 				results[i], errs[i] = runOne(&Registry[i], o)
 			}

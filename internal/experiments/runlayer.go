@@ -103,9 +103,6 @@ func (o Options) machine(cfg core.Config) (*core.Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.ctx != nil {
-		m.SetContext(o.ctx)
-	}
 	o.track.add(m.Eng)
 	return m, nil
 }

@@ -2,9 +2,8 @@
 // that mechanically enforce the simulator's determinism and discipline
 // invariants — the properties PRs 1-4 established by hand-audit and
 // diff tests (byte-identical serial==parallel runs, fingerprint ⇒
-// identical results, the nil-sink one-branch disabled path, no ambient
-// state in instrumented packages, a drift-proof canonical-JSON
-// contract).
+// identical results, no ambient state in instrumented packages, a
+// drift-proof canonical-JSON contract).
 //
 // The suite mirrors the golang.org/x/tools/go/analysis architecture
 // (Analyzer + Pass + positional diagnostics) but is self-contained:
@@ -112,12 +111,13 @@ func sortFindings(fs []Finding) {
 	})
 }
 
-// All returns the full analyzer suite in its canonical order: the
-// five syntax-local passes from v1, then the five dataflow analyzers
-// from v2.
+// All returns the full analyzer suite in its canonical order: the four
+// syntax-local passes from v1, then the five analyzers from v2. Four of
+// those run on the dataflow layer; atomiccheck is a one-pass rule, so
+// the suite has five syntax-local rules and four dataflow analyzers.
 func All() []*Analyzer {
 	return []*Analyzer{
-		SimClock, MapOrder, NilSink, AmbientState, CanonJSON,
+		SimClock, MapOrder, AmbientState, CanonJSON,
 		DetSrc, LockDisc, AtomicCheck, HotAlloc, LeakCheck,
 	}
 }

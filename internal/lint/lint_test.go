@@ -143,13 +143,6 @@ func TestMapOrder(t *testing.T) {
 	}
 }
 
-func TestNilSink(t *testing.T) {
-	fs := runFixture(t, "nilsink", "vmp/internal/fixture/nilsink", NilSink)
-	if got := suppressedOnly(fs); len(got) != 1 {
-		t.Errorf("want 1 suppressed finding, got %v", got)
-	}
-}
-
 func TestAmbientState(t *testing.T) {
 	fs := runFixture(t, "ambientstate", "vmp/internal/memory", AmbientState)
 	if got := suppressedOnly(fs); len(got) != 1 {

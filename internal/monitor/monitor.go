@@ -88,7 +88,7 @@ type Monitor struct {
 	stats    Stats
 	onPost   func()       // interrupt line to the processor, may be nil
 	inj      PostInjector // storm injection, may be nil
-	sink     *obs.Sink    // observability sink, may be nil
+	sink     *obs.Sink    // observability sink; nil outside a machine (Emit discards)
 }
 
 // New creates a monitor for board boardID covering a physical memory of
@@ -218,23 +218,19 @@ func (m *Monitor) push(w Word) {
 	if m.n >= m.cap {
 		m.dropped = true
 		m.stats.Dropped++
-		if m.sink != nil {
-			m.sink.Emit(obs.Event{
-				Time: m.sink.Now(), PAddr: w.PAddr, Board: int16(m.boardID),
-				Kind: obs.KindOverflow, Arg: uint8(w.Op),
-			})
-		}
+		m.sink.Emit(obs.Event{
+			Time: m.sink.Now(), PAddr: w.PAddr, Board: int16(m.boardID),
+			Kind: obs.KindOverflow, Arg: uint8(w.Op),
+		})
 		return
 	}
 	m.fifo[(m.head+m.n)%len(m.fifo)] = w
 	m.n++
 	m.stats.Interrupts++
-	if m.sink != nil {
-		m.sink.Emit(obs.Event{
-			Time: m.sink.Now(), PAddr: w.PAddr, Board: int16(m.boardID),
-			Kind: obs.KindIntr, Arg: uint8(w.Op),
-		})
-	}
+	m.sink.Emit(obs.Event{
+		Time: m.sink.Now(), PAddr: w.PAddr, Board: int16(m.boardID),
+		Kind: obs.KindIntr, Arg: uint8(w.Op),
+	})
 	if m.onPost != nil {
 		m.onPost()
 	}

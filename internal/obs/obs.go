@@ -22,11 +22,12 @@
 // Perfetto exporter needs it); the ring, histograms and page stats are
 // O(1) per event.
 //
-// The disabled path follows the repo's nil-sink discipline: a nil
-// *Sink discards events, and every emission site in the simulator is
-// guarded by a single `if sink != nil` branch, so a machine built
-// without observability pays one predictable branch per event site
-// (proven by BenchmarkTracingOverhead in internal/core).
+// Every core.Machine builds one sink (the default ring when its config
+// names none) and hands it to its boards, bus, monitors and copiers,
+// which emit without a guard. Emit and Now also accept a nil *Sink, for
+// components built outside a machine. The ring's cost is counted, not
+// timed: TestTracingOverheadGuard in internal/scenario prices each
+// event class's Emit and multiplies by the events a run emits.
 //
 // A Sink is engine-confined like everything else in a run: one sink per
 // engine, never shared across goroutines. Separate runs use separate
@@ -288,8 +289,8 @@ type Config struct {
 	DumpTo io.Writer
 }
 
-// Sink is a per-run event sink. A nil *Sink discards everything; all
-// methods are nil-safe.
+// Sink is a per-run event sink. Emit and Now accept a nil *Sink, which
+// discards events and reads time 0; the other methods need a sink.
 type Sink struct {
 	now    func() sim.Time
 	ring   []Event
@@ -377,16 +378,11 @@ func (s *Sink) Emit(ev Event) {
 }
 
 // Total returns the number of events emitted so far.
-func (s *Sink) Total() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.total
-}
+func (s *Sink) Total() uint64 { return s.total }
 
 // Ring returns the flight-recorder contents, oldest first.
 func (s *Sink) Ring() []Event {
-	if s == nil || s.total == 0 {
+	if s.total == 0 {
 		return nil
 	}
 	n := s.total
@@ -402,16 +398,11 @@ func (s *Sink) Ring() []Event {
 
 // Stream returns the retained full event stream (nil unless
 // Config.Stream was set).
-func (s *Sink) Stream() []Event {
-	if s == nil {
-		return nil
-	}
-	return s.stream
-}
+func (s *Sink) Stream() []Event { return s.stream }
 
 // PhaseHist returns the latency histogram (in µs) for one phase.
 func (s *Sink) PhaseHist(p Phase) *stats.Histogram {
-	if s == nil || int(p) >= len(s.hists) {
+	if int(p) >= len(s.hists) {
 		return nil
 	}
 	return s.hists[p]
@@ -421,9 +412,6 @@ func (s *Sink) PhaseHist(p Phase) *stats.Histogram {
 // stream (falling back to the ring when no stream is kept): a compact
 // fingerprint for serial==parallel byte-identity checks.
 func (s *Sink) Digest() uint64 {
-	if s == nil {
-		return 0
-	}
 	evs := s.stream
 	if !s.keep {
 		evs = s.Ring()
@@ -444,9 +432,6 @@ func (s *Sink) Digest() uint64 {
 // then abort count, then address (ties broken deterministically). n <= 0
 // returns all pages.
 func (s *Sink) HotPages(n int) []PageStat {
-	if s == nil {
-		return nil
-	}
 	out := make([]PageStat, 0, len(s.pages))
 	for _, ps := range s.pages {
 		out = append(out, *ps)
@@ -482,8 +467,8 @@ func (s *Sink) PhaseTable() *stats.Table {
 	t := stats.NewTable("Miss-handler phase latencies (measured from the event stream)",
 		"Phase", "Count", "Mean (µs)", "P95 (µs)", "Max (µs)", "Total (ms)")
 	for p := Phase(0); p < NumPhases; p++ {
-		h := s.PhaseHist(p)
-		if h == nil || h.Count() == 0 {
+		h := s.hists[p]
+		if h.Count() == 0 {
 			continue
 		}
 		total := h.Mean() * float64(h.Count()) / 1000
@@ -494,9 +479,6 @@ func (s *Sink) PhaseTable() *stats.Table {
 
 // DumpRing writes the flight-recorder contents to w, newest last.
 func (s *Sink) DumpRing(w io.Writer) {
-	if s == nil {
-		return
-	}
 	evs := s.Ring()
 	fmt.Fprintf(w, "flight recorder: last %d of %d events\n", len(evs), s.total)
 	for _, e := range evs {
@@ -508,7 +490,7 @@ func (s *Sink) DumpRing(w io.Writer) {
 // once per run: the first fault wins, later calls are no-ops so a
 // cascade of violations does not flood the output.
 func (s *Sink) AutoDump(reason string) {
-	if s == nil || s.dumped {
+	if s.dumped {
 		return
 	}
 	s.dumped = true
@@ -517,4 +499,4 @@ func (s *Sink) AutoDump(reason string) {
 }
 
 // Dumped reports whether AutoDump has fired.
-func (s *Sink) Dumped() bool { return s != nil && s.dumped }
+func (s *Sink) Dumped() bool { return s.dumped }

@@ -97,11 +97,10 @@ func RunCtx(ctx context.Context, spec Spec) (*RunResult, error) {
 
 // PanicError is a simulator fault contained by RunGuarded: the panic
 // message, the flight-recorder dump captured at the moment of the
-// fault (when the spec had observability on), and the panicking
-// process's stack when the fault originated inside a simulated
-// process. It is an error, so guarded callers handle faults and
-// ordinary spec rejections through one path while still being able to
-// errors.As out the dump.
+// fault, and the panicking process's stack when the fault originated
+// inside a simulated process. It is an error, so guarded callers
+// handle faults and ordinary spec rejections through one path while
+// still being able to errors.As out the dump.
 type PanicError struct {
 	// Name is the normalized spec name, "" if the fault predates
 	// normalization.
@@ -431,7 +430,7 @@ func summarize(m *core.Machine, sched []kernel.SchedStats) Summary {
 	for _, st := range sched {
 		sum.SchedSwitches += st.Switches
 	}
-	if sink := m.Sink(); sink != nil && sink.Stream() != nil {
+	if sink := m.Sink(); sink.Stream() != nil {
 		sum.Digest = fmt.Sprintf("%016x", sink.Digest())
 	}
 	sum.FaultCounters = m.Eng.Recorder().Group("fault/")
