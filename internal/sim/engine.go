@@ -290,18 +290,24 @@ func (e *Engine) Run() Time { return e.RunUntil(-1) }
 // RunUntil processes events until the queue is empty, Stop is called, or
 // the next event would fire after deadline (deadline < 0 means no
 // deadline). Events exactly at the deadline still fire. The clock is
-// advanced to the deadline if it is reached. Live processes stay
-// parked until they are resumed or killed.
+// advanced to the deadline if it is reached; after Stop or the cancel
+// probe it stays at the last event fired, and a deadline already past
+// leaves it where it is, so the clock never runs backwards. Live
+// processes stay parked until they are resumed or killed.
 func (e *Engine) RunUntil(deadline Time) Time {
 	//vmplint:allow simclock wall-clock measurement only: Metrics.Wall reports host cost and never feeds simulated state
 	start := time.Now()
 	//vmplint:allow simclock wall-clock measurement only: Metrics.Wall reports host cost and never feeds simulated state
 	defer func() { e.metrics.Wall += time.Since(start) }()
 	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
+	for !e.stopped {
+		if len(e.queue) == 0 {
+			e.now = max(e.now, deadline)
+			return e.now
+		}
 		next := e.queue[0]
 		if deadline >= 0 && next.at > deadline {
-			e.now = deadline
+			e.now = max(e.now, deadline)
 			return e.now
 		}
 		e.pop()
@@ -313,9 +319,6 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		if e.checkFn != nil && e.metrics.EventsFired%e.checkEvery == 0 && e.checkFn() {
 			return e.now
 		}
-	}
-	if deadline >= 0 && e.now < deadline {
-		e.now = deadline
 	}
 	return e.now
 }

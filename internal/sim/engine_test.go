@@ -180,3 +180,31 @@ func TestTimeString(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineClockNeverRunsBackwards pins the clock after RunUntil
+// returns early: a Stop leaves it at the stopping event, not at the
+// deadline ahead of the events still queued, and a deadline already
+// past leaves it where it is.
+func TestEngineClockNeverRunsBackwards(t *testing.T) {
+	e := NewEngine()
+	var fired []Time
+	e.Schedule(10, func() { fired = append(fired, e.Now()); e.Stop() })
+	e.Schedule(20, func() { fired = append(fired, e.Now()) })
+	if now := e.RunUntil(50); now != 10 {
+		t.Fatalf("RunUntil(50) stopped at %v, want 10", now)
+	}
+	if now := e.RunUntil(5); now != 10 {
+		t.Fatalf("RunUntil(5) after t=10 returned %v, want 10", now)
+	}
+	e.Schedule(0, func() { fired = append(fired, e.Now()); e.Stop() })
+	if now := e.RunUntil(50); now != 10 {
+		t.Fatalf("Stop by the only event left the clock at %v, want 10", now)
+	}
+	e.RunUntil(50)
+	if want := []Time{10, 10, 20}; len(fired) != len(want) || fired[0] != want[0] || fired[1] != want[1] || fired[2] != want[2] {
+		t.Fatalf("fired at %v, want %v", fired, want)
+	}
+	if e.Now() != 50 {
+		t.Fatalf("drained RunUntil(50) left the clock at %v", e.Now())
+	}
+}

@@ -36,7 +36,7 @@ func checkQueueAgainstReference(t *testing.T, seed uint64) {
 	var pending []queuedCall // scheduled and not yet fired
 	var seq uint64
 	budget := 3000 // calls left to make
-	stopped, deadlined := false, false
+	stopped := false
 	var lastFired Time
 	maxDepth := 0
 	if seed%2 == 1 {
@@ -90,8 +90,7 @@ func checkQueueAgainstReference(t *testing.T, seed uint64) {
 			for n := r.Intn(3); n > 0 && budget > 0; n-- {
 				schedule()
 			}
-			// Stop ends a Run; the cancel probe also ends RunUntil.
-			if r.Intn(40) == 0 && !deadlined {
+			if r.Intn(40) == 0 {
 				stopped = true
 				e.Stop()
 			}
@@ -102,8 +101,8 @@ func checkQueueAgainstReference(t *testing.T, seed uint64) {
 		for n := r.Intn(4); n > 0 && budget > 0; n-- {
 			schedule()
 		}
-		stopped, deadlined = false, r.Intn(4) != 0
-		if !deadlined {
+		stopped = false
+		if r.Intn(4) == 0 {
 			e.Run()
 			if !stopped && len(pending) != 0 {
 				t.Fatalf("seed %d: Run returned with %d calls pending and no Stop", seed, len(pending))
