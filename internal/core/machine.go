@@ -180,6 +180,9 @@ func NewMachine(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	eng := sim.NewEngine()
+	// Every CPU's next reference is due one reference time ahead, so
+	// those events take the engine's tick lane.
+	eng.SetTick(cfg.Timing.RefTime())
 	mem := memory.New(cfg.MemorySize, cfg.Cache.PageSize)
 	ic := bus.NewHierarchy(eng, cfg.Topology, cfg.Cache.PageSize)
 	m := &Machine{

@@ -1,9 +1,17 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine maintains a virtual clock measured in nanoseconds and a
-// priority queue of events. Events scheduled for the same instant fire in
-// the order they were scheduled, so a simulation run is exactly
-// reproducible: the same inputs always produce the same event ordering.
+// queue of events. Events fire in time order, and events scheduled for
+// the same instant fire in the order they were scheduled, so a
+// simulation run is exactly reproducible: the same inputs always
+// produce the same event ordering. The queue is a binary heap plus two
+// FIFO lanes: one for events due now (every wake and spawn) and one for
+// events due exactly one tick ahead (every reference of a machine's
+// CPUs, once the machine has set the tick). An event in a lane was
+// scheduled the lane's fixed delay after a clock that never runs
+// backwards, so each lane is already in firing order and costs O(1)
+// to push and to fire; the loop fires whichever of the three heads is
+// earliest.
 //
 // On top of the raw event queue, Process offers a coroutine abstraction:
 // each simulated actor (a CPU, a DMA device, a block copier) runs on an
@@ -62,17 +70,51 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Micros reports the time as a floating-point number of microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// event is a pooled queue entry. Fired events return to the engine's
-// free list, so steady-state simulation allocates no events at all.
+// event is a queue entry, held by value in the heap and the lanes.
 type event struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	next *event // free-list link while recycled
+	at  Time
+	seq uint64
+	fn  func()
 }
 
-// eventChunkSize is how many events one pool refill allocates.
-const eventChunkSize = 128
+// lane is a FIFO ring of events pushed in firing order. The ring
+// doubles when full and keeps its storage, so a lane reaches its peak
+// depth once and then allocates nothing.
+type lane struct {
+	buf  []event // ring storage; its length is 0 or a power of two
+	head int     // index of the oldest event
+	n    int     // events queued
+}
+
+// push appends ev at the tail.
+//
+//vmplint:hotpath
+func (l *lane) push(ev event) {
+	if l.n == len(l.buf) {
+		l.grow()
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = ev
+	l.n++
+}
+
+// grow doubles the ring, moving its events to the front in order.
+//
+//vmplint:hotpath
+func (l *lane) grow() {
+	buf := make([]event, max(2*len(l.buf), 64)) //vmplint:allow hotalloc a lane doubles until it holds its peak depth, then reuses its ring; the core/trace-hit (tick lane) and copier/transfer (ready lane) micros pin 0 allocs/op
+	k := copy(buf, l.buf[l.head:])
+	copy(buf[k:], l.buf[:l.head])
+	l.buf, l.head = buf, 0
+}
+
+// pop removes the oldest event. The lane must not be empty.
+//
+//vmplint:hotpath
+func (l *lane) pop() {
+	l.buf[l.head].fn = nil
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+}
 
 // Metrics is a snapshot of the engine's own measurements: how much work
 // the event loop did and how long it took in wall-clock terms. Together
@@ -85,7 +127,8 @@ type Metrics struct {
 	// Switches counts coroutine resumptions: each time control passes
 	// from the engine into a process, by a step event or by Resume.
 	Switches uint64
-	// MaxQueueDepth is the high-water mark of the pending-event heap.
+	// MaxQueueDepth is the high-water mark of pending events, counted
+	// over the heap and both lanes.
 	MaxQueueDepth int
 	// Wall is the accumulated wall-clock time spent inside Run/RunUntil.
 	Wall time.Duration
@@ -104,14 +147,16 @@ func (m Metrics) SimNsPerWallMs(now Time) float64 {
 // Engine is a discrete-event simulation engine. The zero value is ready
 // to use.
 type Engine struct {
-	now     Time
-	queue   []*event // binary heap ordered by (at, seq)
+	now Time
+	// heap holds the events neither lane takes, as a binary heap
+	// ordered by (at, seq). ready holds the events due now, and ticks
+	// the events due tick after now; tick 0 leaves ticks unused.
+	heap    []event
+	ready   lane
+	ticks   lane
+	tick    Time
 	seq     uint64
 	stopped bool
-
-	// Event pool: free list refilled from chunk allocations.
-	free  *event
-	chunk []event
 
 	metrics Metrics
 	rec     *stats.Recorder
@@ -129,9 +174,21 @@ type Engine struct {
 }
 
 // NewEngine returns a new engine with the clock at zero and the event
-// heap preallocated.
+// heap preallocated. Its tick lane is unused until SetTick.
 func NewEngine() *Engine {
-	return &Engine{queue: make([]*event, 0, 256)}
+	return &Engine{heap: make([]event, 0, 256)}
+}
+
+// SetTick routes every event due exactly d after the current time into
+// the tick lane instead of the heap. A machine sets its reference time,
+// the delay of each CPU's next reference. d = 0 leaves the lane unused.
+// The lane's order rests on one delay for all of its events, so the
+// tick cannot change while tick events are queued.
+func (e *Engine) SetTick(d Time) {
+	if d < 0 || e.ticks.n > 0 {
+		panic(fmt.Sprintf("sim: SetTick(%d) with %d tick events queued", d, e.ticks.n))
+	}
+	e.tick = d
 }
 
 // Recorder returns the engine's per-run metrics sink, creating it on
@@ -148,32 +205,6 @@ func (e *Engine) Metrics() Metrics { return e.metrics }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
-
-// alloc takes an event from the pool, refilling it a chunk at a time.
-//
-//vmplint:hotpath
-func (e *Engine) alloc() *event {
-	if ev := e.free; ev != nil {
-		e.free = ev.next
-		ev.next = nil
-		return ev
-	}
-	if len(e.chunk) == 0 {
-		e.chunk = make([]event, eventChunkSize) //vmplint:allow hotalloc free-list chunk refill is amortized zero-alloc; the engine/schedule-fire micro pins 0 allocs/op
-	}
-	ev := &e.chunk[0]
-	e.chunk = e.chunk[1:]
-	return ev
-}
-
-// recycle clears an event and returns it to the free list.
-//
-//vmplint:hotpath
-func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
-	ev.next = e.free
-	e.free = ev
-}
 
 // Schedule runs fn after delay d. A negative delay is an error in the
 // caller; Schedule panics to surface the bug immediately.
@@ -194,12 +225,18 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: schedule in the past: %v < now %v", t, e.now))
 	}
 	e.seq++
-	ev := e.alloc()
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
-	e.push(ev)
+	ev := event{at: t, seq: e.seq, fn: fn}
+	switch t {
+	case e.now:
+		e.ready.push(ev)
+	case e.now + e.tick:
+		e.ticks.push(ev)
+	default:
+		e.push(ev)
+	}
 	e.metrics.EventsScheduled++
-	if len(e.queue) > e.metrics.MaxQueueDepth {
-		e.metrics.MaxQueueDepth = len(e.queue)
+	if n := e.Pending(); n > e.metrics.MaxQueueDepth {
+		e.metrics.MaxQueueDepth = n
 	}
 }
 
@@ -216,48 +253,71 @@ func before(a, b *event) bool {
 // free of interface conversions).
 //
 //vmplint:hotpath
-func (e *Engine) push(ev *event) {
-	q := append(e.queue, ev) //vmplint:allow hotalloc queue reaches peak-depth capacity once, then appends reuse it; the engine/schedule-fire micro pins 0 allocs/op
+func (e *Engine) push(ev event) {
+	q := append(e.heap, ev) //vmplint:allow hotalloc heap reaches peak-depth capacity once, then appends reuse it; the engine/schedule-fire micro pins 0 allocs/op
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !before(q[i], q[parent]) {
+		if !before(&ev, &q[parent]) {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		q[i] = q[parent]
 		i = parent
 	}
-	e.queue = q
+	q[i] = ev
+	e.heap = q
 }
 
-// pop removes and returns the earliest event.
+// pop removes the heap's earliest event.
 //
 //vmplint:hotpath
-func (e *Engine) pop() *event {
-	q := e.queue
-	top := q[0]
+func (e *Engine) pop() {
+	q := e.heap
 	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = nil
+	last := q[n]
+	q[n] = event{}
 	q = q[:n]
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && before(q[l], q[least]) {
-			least = l
-		}
-		if r < n && before(q[r], q[least]) {
-			least = r
-		}
-		if least == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		q[i], q[least] = q[least], q[i]
-		i = least
+		if r := c + 1; r < n && before(&q[r], &q[c]) {
+			c = r
+		}
+		if !before(&q[c], &last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
 	}
-	e.queue = q
-	return top
+	if n > 0 {
+		q[i] = last
+	}
+	e.heap = q
+}
+
+// next returns the earliest queued event by (at, seq) and the lane
+// holding it, nil for the heap. It returns a nil event when nothing is
+// queued.
+//
+//vmplint:hotpath
+func (e *Engine) next() (*event, *lane) {
+	var ev *event
+	var from *lane
+	if e.ready.n > 0 {
+		ev, from = &e.ready.buf[e.ready.head], &e.ready
+	}
+	if e.ticks.n > 0 {
+		if t := &e.ticks.buf[e.ticks.head]; ev == nil || before(t, ev) {
+			ev, from = t, &e.ticks
+		}
+	}
+	if len(e.heap) > 0 && (ev == nil || before(&e.heap[0], ev)) {
+		ev, from = &e.heap[0], nil
+	}
+	return ev, from
 }
 
 // Stop makes the current Run call return after the in-flight event
@@ -280,8 +340,9 @@ func (e *Engine) SetCancelCheck(n uint64, f func() bool) {
 	e.checkEvery, e.checkFn = n, f
 }
 
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending reports the number of queued events, in the heap and both
+// lanes.
+func (e *Engine) Pending() int { return len(e.heap) + e.ready.n + e.ticks.n }
 
 // Run processes events in order until the queue is empty or Stop is
 // called. It returns the final simulated time.
@@ -301,19 +362,22 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	defer func() { e.metrics.Wall += time.Since(start) }()
 	e.stopped = false
 	for !e.stopped {
-		if len(e.queue) == 0 {
+		ev, from := e.next()
+		if ev == nil {
 			e.now = max(e.now, deadline)
 			return e.now
 		}
-		next := e.queue[0]
-		if deadline >= 0 && next.at > deadline {
+		if deadline >= 0 && ev.at > deadline {
 			e.now = max(e.now, deadline)
 			return e.now
 		}
-		e.pop()
-		e.now = next.at
-		fn := next.fn
-		e.recycle(next)
+		e.now = ev.at
+		fn := ev.fn
+		if from != nil {
+			from.pop()
+		} else {
+			e.pop()
+		}
 		e.metrics.EventsFired++
 		fn()
 		if e.checkFn != nil && e.metrics.EventsFired%e.checkEvery == 0 && e.checkFn() {

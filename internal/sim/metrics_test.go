@@ -66,34 +66,38 @@ func TestEngineMetricsNestedDepth(t *testing.T) {
 	}
 }
 
-// TestEnginePoolReuse drives enough schedule/fire cycles through a small
-// queue that pooled events must be recycled, and checks ordering is
-// still exact (a stale field in a recycled event would break it).
-func TestEnginePoolReuse(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	n := 10 * eventChunkSize
-	var tick func()
-	i := 0
-	tick = func() {
-		fired = append(fired, e.Now())
-		i++
-		if i < n {
-			e.Schedule(3, tick)
+// TestEngineLongRunOrder drives many schedule/fire cycles through a
+// short queue, once through the heap and once through the tick lane,
+// whose ring wraps around many times, and checks that every event fires
+// at its exact time.
+func TestEngineLongRunOrder(t *testing.T) {
+	for _, tick := range []Time{0, 3} {
+		e := NewEngine()
+		e.SetTick(tick)
+		var fired []Time
+		const n = 1280
+		var step func()
+		i := 0
+		step = func() {
+			fired = append(fired, e.Now())
+			i++
+			if i < n {
+				e.Schedule(3, step)
+			}
 		}
-	}
-	e.Schedule(0, tick)
-	e.Run()
-	if len(fired) != n {
-		t.Fatalf("fired %d, want %d", len(fired), n)
-	}
-	for k, at := range fired {
-		if at != Time(3*k) {
-			t.Fatalf("event %d at %v, want %v", k, at, Time(3*k))
+		e.Schedule(0, step)
+		e.Run()
+		if len(fired) != n {
+			t.Fatalf("tick %d: fired %d, want %d", tick, len(fired), n)
 		}
-	}
-	if e.Metrics().EventsFired != uint64(n) {
-		t.Errorf("EventsFired = %d, want %d", e.Metrics().EventsFired, n)
+		for k, at := range fired {
+			if at != Time(3*k) {
+				t.Fatalf("tick %d: event %d at %v, want %v", tick, k, at, Time(3*k))
+			}
+		}
+		if e.Metrics().EventsFired != n {
+			t.Errorf("tick %d: EventsFired = %d, want %d", tick, e.Metrics().EventsFired, n)
+		}
 	}
 }
 

@@ -32,6 +32,7 @@ func TestQueueMatchesReference(t *testing.T) {
 
 func checkQueueAgainstReference(t *testing.T, seed uint64) {
 	e := NewEngine()
+	e.SetTick(queueTick)
 	r := NewRand(seed)
 	var pending []queuedCall // scheduled and not yet fired
 	var seq uint64
