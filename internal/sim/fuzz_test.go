@@ -19,6 +19,10 @@ import (
 //   - a body panic reaches the Run caller exactly once, as *ProcessPanic;
 //   - the same program gives the same activation log twice.
 //
+// The engine's tick is the program's first Delay (see fuzzTick), so
+// the tick lane, the ready lane and the heap all carry events, and the
+// FIFO check covers their merge.
+//
 // The seed corpus lives in testdata/fuzz/FuzzProcesses, so plain
 // `go test` replays it; `go test -fuzz FuzzProcesses ./internal/sim`
 // explores further.
@@ -315,6 +319,22 @@ func decodeFuzzProgram(h *fzHarness, prog []byte) (nInit int) {
 	return nInit
 }
 
+// fuzzTick returns the delay of the program's first Delay instruction,
+// or 1 when it has none. Set as the engine's tick, it routes every
+// repeat of that delay, and any event or timeout that lands on it,
+// through the tick lane, as a machine's tick carries its CPUs'
+// references.
+func fuzzTick(scripts [][]fzOp) Time {
+	for _, sc := range scripts {
+		for _, op := range sc {
+			if op.code%fzNumOps == fzDelay {
+				return Time(op.arg % 8)
+			}
+		}
+	}
+	return 1
+}
+
 // runFuzzProgram runs one program and returns its activation log.
 func runFuzzProgram(t *testing.T, prog []byte) string {
 	h := &fzHarness{
@@ -324,6 +344,7 @@ func runFuzzProgram(t *testing.T, prog []byte) string {
 		reported: make(map[int]int),
 	}
 	nInit := decodeFuzzProgram(h, prog)
+	h.e.SetTick(fuzzTick(h.scripts))
 	for i := 0; i < nInit; i++ {
 		h.spawn(i%len(h.scripts), 0)
 	}
