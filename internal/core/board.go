@@ -701,13 +701,17 @@ func (b *Board) upgradeOwnership(p *sim.Process, asid uint8, vaddr uint32, attem
 	}
 
 	// Ownership acquired: all other caches discard their copies in
-	// parallel. Keep exactly this slot; drop our own aliases.
-	for _, s := range append([]cache.SlotID(nil), fi.slots...) {
-		if s != slot {
+	// parallel. Keep exactly this slot; drop our own aliases, in slot
+	// order. The kept slot means the record is never emptied.
+	kept := fi.slots[:0]
+	for _, s := range fi.slots {
+		if s == slot {
+			kept = append(kept, s)
+		} else {
 			b.Cache.Invalidate(s)
-			b.detachSlot(frame, fi, s)
 		}
 	}
+	fi.slots = kept
 	fi.state = psPrivate
 	st := b.Cache.SlotState(slot)
 	b.Cache.SetFlags(slot, st.Flags|cache.Exclusive)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"iter"
 	"runtime/debug"
+	"slices"
 )
 
 // Process is a coroutine bound to an Engine. Its body runs on a stdlib
@@ -249,7 +250,7 @@ func (s *Signal) WaitTimeout(p *Process, d Time) bool {
 		}
 		for i, w := range s.waiters {
 			if w == p {
-				s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
+				s.waiters = slices.Delete(s.waiters, i, i+1)
 				signalled = false
 				p.Wake()
 				return
@@ -262,13 +263,14 @@ func (s *Signal) WaitTimeout(p *Process, d Time) bool {
 }
 
 // Pulse wakes the longest-waiting process, if any, and reports whether
-// one was woken.
+// one was woken. The other waiters move down, so the list keeps its
+// storage and a signal pulsed over and over does not allocate.
 func (s *Signal) Pulse() bool {
 	if len(s.waiters) == 0 {
 		return false
 	}
 	p := s.waiters[0]
-	s.waiters = s.waiters[1:]
+	s.waiters = slices.Delete(s.waiters, 0, 1)
 	p.Wake()
 	return true
 }
@@ -298,10 +300,12 @@ func (s *Semaphore) Acquire(p *Process) {
 }
 
 // Release increments the semaphore, waking the longest waiter if any.
+// The other waiters move down, so the list keeps its storage and a
+// contended semaphore does not allocate.
 func (s *Semaphore) Release() {
 	if len(s.waiters) > 0 {
 		p := s.waiters[0]
-		s.waiters = s.waiters[1:]
+		s.waiters = slices.Delete(s.waiters, 0, 1)
 		p.Wake()
 		return
 	}

@@ -346,3 +346,54 @@ func TestResumePanicsUnlessPaused(t *testing.T) {
 		resume(t, e, func() { e.Run() })
 	})
 }
+
+// TestContendedWaitQueuesDoNotAllocate runs contended hand-offs, four
+// processes on a one-unit semaphore and four passing a signal's pulse
+// round, and requires each round of 64 to allocate nothing: a waiter
+// list that moves its waiters down keeps its storage, where popping it
+// by reslicing loses a slot from the front each time and makes the
+// next append reallocate.
+func TestContendedWaitQueuesDoNotAllocate(t *testing.T) {
+	cases := []struct {
+		name  string
+		start func(e *Engine)
+	}{
+		{"semaphore", func(e *Engine) {
+			sem := NewSemaphore(1)
+			for w := 0; w < 4; w++ {
+				e.Spawn("w", func(p *Process) {
+					for {
+						sem.Acquire(p)
+						p.Delay(1)
+						sem.Release()
+					}
+				})
+			}
+		}},
+		{"signal", func(e *Engine) {
+			var sig Signal
+			for w := 0; w < 4; w++ {
+				e.Spawn("w", func(p *Process) {
+					for {
+						sig.Pulse()
+						sig.Wait(p)
+						p.Delay(1)
+					}
+				})
+			}
+		}},
+	}
+	for _, c := range cases {
+		e := NewEngine()
+		c.start(e)
+		deadline := Time(0)
+		allocs := testing.AllocsPerRun(100, func() {
+			deadline += 64
+			e.RunUntil(deadline)
+		})
+		e.KillProcesses()
+		if allocs != 0 {
+			t.Errorf("%s: %.0f allocations per 64 contended hand-offs, want 0", c.name, allocs)
+		}
+	}
+}
