@@ -38,15 +38,42 @@ func NewHistogram(lo, hi float64) *Histogram {
 
 // Add records one value.
 func (h *Histogram) Add(v float64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i]++
+	h.counts[h.bucket(v)]++
 	h.total++
 	h.sum += v
-	h.min = math.Min(h.min, v)
-	h.max = math.Max(h.max, v)
+	if v < h.min {
+		h.min = v
+	}
+	if v > h.max {
+		h.max = v
+	}
+}
+
+// bucket returns the index of the first bound v does not exceed, or
+// len(bounds) for the overflow bucket, in O(1). The bounds below hi
+// are lo·2^k, so the binary exponent of v/lo names the bucket; the
+// v > bound test that defines the buckets then corrects the guess, so
+// a quotient that rounds onto a power of two lands where a scan of the
+// bounds puts it. hi, which need not continue the doubling, is checked
+// on its own.
+func (h *Histogram) bucket(v float64) int {
+	b := h.bounds
+	last := len(b) - 1
+	if !(v > b[0]) {
+		return 0
+	}
+	if v > b[last] {
+		return last + 1
+	}
+	_, e := math.Frexp(v / b[0])
+	i := max(1, min(e, last))
+	for !(v > b[i-1]) {
+		i--
+	}
+	for v > b[i] {
+		i++
+	}
+	return i
 }
 
 // Count returns the number of recorded values.

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -174,5 +175,53 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	h.Add(1e9)
 	if h.Percentile(100) != 1e9 {
 		t.Errorf("overflow percentile %v", h.Percentile(100))
+	}
+}
+
+// scanBucket is the reference bucket choice: a linear scan for the
+// first bound v does not exceed.
+func scanBucket(bounds []float64, v float64) int {
+	i := 0
+	for i < len(bounds) && v > bounds[i] {
+		i++
+	}
+	return i
+}
+
+// TestHistogramBucketMatchesScan checks the O(1) bucket choice against
+// the linear scan on every bound and both of its float neighbours, 0,
+// negative and non-finite values, values past hi and a sweep between,
+// for the two geometries in use (0.5–4096 µs, 1–1024 µs) and two whose
+// hi breaks the doubling.
+func TestHistogramBucketMatchesScan(t *testing.T) {
+	for _, g := range [][2]float64{{0.5, 4096}, {1, 1024}, {1, 100}, {0.3, 50}} {
+		h := NewHistogram(g[0], g[1])
+		vals := []float64{0, math.Copysign(0, -1), -1, math.Inf(-1), math.NaN(), math.Inf(1),
+			g[1] * 1.5, g[1] * 1e9, math.MaxFloat64, math.SmallestNonzeroFloat64}
+		for _, b := range h.bounds {
+			vals = append(vals, b, math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1)), b*0.75, b*1.5)
+		}
+		for v := g[0] / 8; v < g[1]*4; v *= 1.0137 {
+			vals = append(vals, v)
+		}
+		for _, v := range vals {
+			if got, want := h.bucket(v), scanBucket(h.bounds, v); got != want {
+				t.Errorf("NewHistogram(%v, %v): bucket(%v) = %d, the scan gives %d", g[0], g[1], v, got, want)
+			}
+		}
+	}
+}
+
+// TestHistogramMinMax checks the running extremes against math.Min and
+// math.Max over the same values.
+func TestHistogramMinMax(t *testing.T) {
+	h := NewHistogram(0.5, 4096)
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range []float64{21.3, 0, 8.3, 5000, 0.25, 4096, 1} {
+		h.Add(v)
+		lo, hi = math.Min(lo, v), math.Max(hi, v)
+		if h.Min() != lo || h.Max() != hi {
+			t.Fatalf("after %v: min %v max %v, want %v and %v", v, h.Min(), h.Max(), lo, hi)
+		}
 	}
 }
