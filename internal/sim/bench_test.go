@@ -3,17 +3,52 @@ package sim
 import "testing"
 
 // BenchmarkEngineSchedule measures raw event throughput: schedule-and-
-// fire cycles through the pooled queue. This is the hot path under
-// every simulation in the repo; it should be allocation-free in steady
-// state.
+// fire cycles through the heap, drained 32 events per Run (the deepest
+// queue of a 16-board machine) so that Run's wall-clock bookkeeping
+// does not dominate. This is the hot path under every simulation in
+// the repo; it should be allocation-free in steady state.
 func BenchmarkEngineSchedule(b *testing.B) {
 	e := NewEngine()
+	nop := func() {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(1, func() {})
-		e.Run()
+		e.Schedule(1, nop)
+		if i%32 == 31 {
+			e.Run()
+		}
 	}
+	e.Run()
+}
+
+// BenchmarkEngineTicks16 measures the queue in the multibus shape: 16
+// CPUs each schedule their next reference one tick ahead, through the
+// tick lane, and about every 30th reference is a miss whose irregular
+// delay goes through the heap. One op is one fired event.
+func BenchmarkEngineTicks16(b *testing.B) {
+	const tick = 50
+	e := NewEngine()
+	e.SetTick(tick)
+	fired := 0
+	for i := 0; i < 16; i++ {
+		k := i
+		var ref func()
+		ref = func() {
+			if fired++; fired == b.N {
+				e.Stop()
+			}
+			k++
+			d := Time(tick)
+			if k%30 == 0 {
+				d += 1 + Time(k*7919%1000)
+			}
+			e.Schedule(d, ref)
+		}
+		e.Schedule(Time(i), ref)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
 }
 
 // BenchmarkEngineScheduleDepth64 measures scheduling against a standing
