@@ -17,13 +17,13 @@ type queuedCall struct {
 
 // TestQueueMatchesReference drives the engine's queue from inside its
 // own events. A seeded driver schedules with delays drawn from {0, the
-// tick, 1–20, ≥1000}, by Schedule and by At, and mixes in Run,
-// RunUntil with deadlines (some exactly at a pending event's time),
-// Stop, the cancel probe and scheduling from outside the loop. Every
-// firing (now, id) must be the reference's next call in (at, seq)
-// order; after each return the clock and Pending must agree with the
-// reference, and at the end the metrics must count every call and the
-// reference's high-water mark.
+// tick, 1–20, ≥1000}, by Schedule and by At, now and then in a burst
+// of one delay, and mixes in Run, RunUntil with deadlines (some
+// exactly at a pending event's time), Stop, the cancel probe and
+// scheduling from outside the loop. Every firing (now, id) must be the
+// reference's next call in (at, seq) order; after each return the
+// clock and Pending must agree with the reference, and at the end the
+// metrics must count every call and the reference's high-water mark.
 func TestQueueMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 64; seed++ {
 		checkQueueAgainstReference(t, seed)
@@ -36,7 +36,7 @@ func checkQueueAgainstReference(t *testing.T, seed uint64) {
 	r := NewRand(seed)
 	var pending []queuedCall // scheduled and not yet fired
 	var seq uint64
-	budget := 3000 // calls left to make
+	budget := 4000 // calls left to make
 	stopped := false
 	var lastFired Time
 	maxDepth := 0
@@ -61,8 +61,7 @@ func checkQueueAgainstReference(t *testing.T, seed uint64) {
 		}
 	}
 	var fire func(id int) func()
-	schedule := func() {
-		d := delay()
+	schedule := func(d Time) {
 		seq++
 		id := int(seq)
 		pending = append(pending, queuedCall{e.Now() + d, seq, id})
@@ -89,7 +88,15 @@ func checkQueueAgainstReference(t *testing.T, seed uint64) {
 			}
 			lastFired = e.Now()
 			for n := r.Intn(3); n > 0 && budget > 0; n-- {
-				schedule()
+				schedule(delay())
+			}
+			// A burst of one delay grows its queue past a lane's
+			// first ring, whose head has by then wrapped.
+			if r.Intn(100) == 0 {
+				d := delay()
+				for n := 70; n > 0 && budget > 0; n-- {
+					schedule(d)
+				}
 			}
 			if r.Intn(40) == 0 {
 				stopped = true
@@ -100,7 +107,7 @@ func checkQueueAgainstReference(t *testing.T, seed uint64) {
 
 	for budget > 0 || len(pending) > 0 {
 		for n := r.Intn(4); n > 0 && budget > 0; n-- {
-			schedule()
+			schedule(delay())
 		}
 		stopped = false
 		if r.Intn(4) == 0 {
