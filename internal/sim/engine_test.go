@@ -208,3 +208,15 @@ func TestEngineClockNeverRunsBackwards(t *testing.T) {
 		t.Fatalf("drained RunUntil(50) left the clock at %v", e.Now())
 	}
 }
+
+func TestSetTickWithTickEventsQueuedPanics(t *testing.T) {
+	e := NewEngine()
+	e.SetTick(5)
+	e.Schedule(5, func() {})
+	defer func() {
+		if recover() == nil {
+			t.Error("SetTick with a tick event queued did not panic")
+		}
+	}()
+	e.SetTick(7)
+}
