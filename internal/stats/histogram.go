@@ -51,25 +51,23 @@ func (h *Histogram) Add(v float64) {
 
 // bucket returns the index of the first bound v does not exceed, or
 // len(bounds) for the overflow bucket, in O(1). The bounds below hi
-// are lo·2^k, so the binary exponent of v/lo names the bucket; the
-// v > bound test that defines the buckets then corrects the guess, so
-// a quotient that rounds onto a power of two lands where a scan of the
-// bounds puts it. hi, which need not continue the doubling, is checked
-// on its own.
+// are lo·2^k, so bound k has lo's binary exponent plus k, and for
+// lo < v <= hi the difference between v's exponent and lo's is v's
+// bucket or the one below it (further below only for a subnormal lo).
+// The v > bound test that defines the buckets then settles it, as a
+// scan of the bounds would. hi, which need not continue the doubling,
+// is checked on its own.
 func (h *Histogram) bucket(v float64) int {
 	b := h.bounds
-	last := len(b) - 1
 	if !(v > b[0]) {
 		return 0
 	}
-	if v > b[last] {
-		return last + 1
+	if v > b[len(b)-1] {
+		return len(b)
 	}
-	_, e := math.Frexp(v / b[0])
-	i := max(1, min(e, last))
-	for !(v > b[i-1]) {
-		i--
-	}
+	// Both are positive, so their bits above the 52-bit significand
+	// are the biased exponent.
+	i := int(math.Float64bits(v)>>52) - int(math.Float64bits(b[0])>>52)
 	for v > b[i] {
 		i++
 	}
