@@ -363,11 +363,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
 	for !e.stopped {
 		ev, from := e.next()
-		if ev == nil {
-			e.now = max(e.now, deadline)
-			return e.now
-		}
-		if deadline >= 0 && ev.at > deadline {
+		if ev == nil || (deadline >= 0 && ev.at > deadline) {
 			e.now = max(e.now, deadline)
 			return e.now
 		}
