@@ -77,10 +77,10 @@ func TestTracingOverheadGuard(t *testing.T) {
 	sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
 	loopNs := float64(walls[runs/2].Nanoseconds())
 
-	// A phase event is priced at the run's median phase duration, since
-	// the histogram's bucket scan grows with the duration; a consistency
-	// bus event cycles over the run's own pages, so the hot-page map has
-	// the run's size; any other event only enters the ring.
+	// A phase event is priced at the run's median phase duration, a
+	// typical histogram sample; a consistency bus event cycles over the
+	// run's own pages, so the hot-page map has the run's size; any other
+	// event only enters the ring.
 	sort.Slice(phaseDurs, func(i, j int) bool { return phaseDurs[i] < phaseDurs[j] })
 	phaseNs := emitNs([]obs.Event{{Kind: obs.KindPhase, Arg: uint8(obs.PhaseMiss), Dur: phaseDurs[phase/2]}})
 	var pages []obs.Event
