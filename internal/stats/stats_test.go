@@ -213,17 +213,3 @@ func TestHistogramBucketMatchesScan(t *testing.T) {
 		}
 	}
 }
-
-// TestHistogramMinMax checks the running extremes against math.Min and
-// math.Max over the same values.
-func TestHistogramMinMax(t *testing.T) {
-	h := NewHistogram(0.5, 4096)
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range []float64{21.3, 0, 8.3, 5000, 0.25, 4096, 1} {
-		h.Add(v)
-		lo, hi = math.Min(lo, v), math.Max(hi, v)
-		if h.Min() != lo || h.Max() != hi {
-			t.Fatalf("after %v: min %v max %v, want %v and %v", v, h.Min(), h.Max(), lo, hi)
-		}
-	}
-}
