@@ -16,7 +16,7 @@ type queuedCall struct {
 }
 
 // TestQueueMatchesReference drives the engine's queue from inside its
-// own events. A seeded driver schedules with delays drawn from {0, the
+// own events. Seeded draws schedule with delays taken from {0, the
 // tick, 1–20, ≥1000}, by Schedule and by At, now and then in a burst
 // of one delay, and mixes in Run, RunUntil with deadlines (some
 // exactly at a pending event's time), Stop, the cancel probe and
