@@ -237,17 +237,18 @@ func Run(id string, o Options) (*Result, error) {
 		sort.Strings(known)
 		return nil, &UnknownIDError{ID: id, Known: known}
 	}
-	return runOne(e, o)
+	return runOne(e, o, &engineTrack{})
 }
 
-// runOne executes one experiment with its derived seed and a fresh
-// engine tracker, and stamps the aggregated engine metrics on the
-// result. It is the single execution path shared by Run and RunAll, so
-// an experiment behaves identically however it is invoked.
-func runOne(e *Experiment, o Options) (*Result, error) {
+// runOne executes one experiment with its derived seed and the given
+// fresh engine tracker, and stamps the aggregated engine metrics on the
+// result. It is the single execution path shared by Run, RunAll and the
+// event goldens, so an experiment behaves identically however it is
+// invoked.
+func runOne(e *Experiment, o Options, track *engineTrack) (*Result, error) {
 	ro := o
 	ro.Seed = seedFor(o.Seed, e.ID)
-	ro.track = &engineTrack{}
+	ro.track = track
 	start := time.Now()
 	res, err := e.Run(ro)
 	if err != nil {
@@ -284,7 +285,7 @@ func RunAll(o Options, workers int) ([]*Result, error) {
 				if i >= len(Registry) {
 					return
 				}
-				results[i], errs[i] = runOne(&Registry[i], o)
+				results[i], errs[i] = runOne(&Registry[i], o, &engineTrack{})
 			}
 		}()
 	}

@@ -17,11 +17,13 @@ var update = flag.Bool("update", false, "rewrite testdata/event_goldens.txt from
 
 // eventGoldens holds one line per cell: its name, the digest of its
 // event stream and a hash of its summary and violations — or, for a
-// cell that is meant to fail, its error text.
+// cell that is meant to fail, its error text. After the cells come the
+// experiments' machines, one "exp:" line each (experimentLines).
 const eventGoldens = "testdata/event_goldens.txt"
 
 // TestEventGoldens pins the event order of every registry grid cell
-// (quick options) and of every cell of the committed scenarios/*.json,
+// (quick options), of every cell of the committed scenarios/*.json and
+// of every machine the registered experiments build at quick options,
 // each run with the full event stream retained. A rewrite of the
 // substrate (engine, interconnect) must leave every line unchanged.
 // livelock-demo.json is meant to fail, so its error text is pinned
@@ -67,6 +69,7 @@ func TestEventGoldens(t *testing.T) {
 		}
 		lines = append(lines, goldenLine(c))
 	}
+	lines = append(lines, experimentLines(t, o)...)
 	got := strings.Join(lines, "\n") + "\n"
 	if *update {
 		if err := os.WriteFile(eventGoldens, []byte(got), 0o644); err != nil {
@@ -80,13 +83,57 @@ func TestEventGoldens(t *testing.T) {
 	}
 	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 	if len(want) != len(lines) {
-		t.Fatalf("%d cells, golden has %d", len(lines), len(want))
+		t.Fatalf("%d lines, golden has %d", len(lines), len(want))
 	}
 	for i := range lines {
 		if lines[i] != want[i] {
-			t.Errorf("cell %d drifted:\n  got  %s\n  want %s", i, lines[i], want[i])
+			t.Errorf("line %d drifted:\n  got  %s\n  want %s", i, lines[i], want[i])
 		}
 	}
+}
+
+// noMachineLine names the experiments that pin no machine: fig1 and
+// fig2 build one only to report its configuration, and fig4, assoc and
+// clustering replay their streams through cache.Simulate.
+var noMachineLine = map[string]bool{"fig1": true, "fig2": true, "fig4": true, "assoc": true, "clustering": true}
+
+// experimentLines runs every registered experiment at o, through
+// runOne with its derived seed, with each machine's event stream
+// retained. It renders one line per machine whose sink emitted events,
+// in the order the experiment built its machines (k):
+// "exp:<id>#<k> <event digest> <events fired>". A bare engine
+// (Options.engine, no sink) pins its events fired and final simulated
+// time instead: "exp:<id>#<k> engine <events fired> <ns>".
+func experimentLines(t *testing.T, o Options) []string {
+	var lines []string
+	for _, e := range All() {
+		tr := &engineTrack{stream: true}
+		if _, err := runOne(&e, o, tr); err != nil {
+			t.Error(err)
+			continue
+		}
+		n := 0
+		for k, eng := range tr.engines {
+			name := fmt.Sprintf("exp:%s#%d", e.ID, k)
+			fired := eng.Metrics().EventsFired
+			switch s := tr.sinks[k]; {
+			case s == nil:
+				lines = append(lines, fmt.Sprintf("%s engine %d %d", name, fired, eng.Now()))
+			case s.Total() > 0:
+				lines = append(lines, fmt.Sprintf("%s %016x %d", name, s.Digest(), fired))
+			default:
+				continue
+			}
+			n++
+		}
+		switch {
+		case n == 0 && !noMachineLine[e.ID]:
+			t.Errorf("%s: no machine it built emitted an event, so nothing pins its event order", e.ID)
+		case n > 0 && noMachineLine[e.ID]:
+			t.Errorf("%s: pins %d machines but is listed in noMachineLine", e.ID, n)
+		}
+	}
+	return lines
 }
 
 // scenarioFileCells expands a committed scenario file: a grid (it has

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"vmp/internal/core"
+	"vmp/internal/obs"
 	"vmp/internal/sim"
 )
 
@@ -13,11 +14,19 @@ import (
 // that experiment's helpers append to it.
 type engineTrack struct {
 	engines []*sim.Engine
+	// sinks[k] is the sink of the machine that owns engines[k], or nil
+	// for a bare engine.
+	sinks []*obs.Sink
+	// stream builds every machine with its full event stream retained,
+	// so the event goldens can pin each machine's event order. Only
+	// that test sets it.
+	stream bool
 }
 
-func (t *engineTrack) add(e *sim.Engine) {
+func (t *engineTrack) add(e *sim.Engine, s *obs.Sink) {
 	if t != nil {
 		t.engines = append(t.engines, e)
+		t.sinks = append(t.sinks, s)
 	}
 }
 
@@ -84,7 +93,7 @@ func (m Metrics) SimNsPerWallMs() float64 {
 // their activity shows up in the run metrics.
 func (o Options) engine() *sim.Engine {
 	eng := sim.NewEngine()
-	o.track.add(eng)
+	o.track.add(eng, nil)
 	return eng
 }
 
@@ -99,11 +108,19 @@ func (o Options) machine(cfg core.Config) (*core.Machine, error) {
 		cfg.FaultSeed = o.Seed
 	}
 	cfg.Watchdog = cfg.Watchdog || o.Check
+	if o.track != nil && o.track.stream {
+		var oc obs.Config
+		if cfg.Obs != nil {
+			oc = *cfg.Obs
+		}
+		oc.Stream = true
+		cfg.Obs = &oc
+	}
 	m, err := core.NewMachine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	o.track.add(m.Eng)
+	o.track.add(m.Eng, m.Sink())
 	return m, nil
 }
 
