@@ -5,19 +5,13 @@ import (
 	"vmp/internal/workload"
 )
 
-// This file makes every registered experiment expressible as data: a
-// scenario.Grid describing the machines and workloads the experiment
-// sweeps. Seven runners (fig4, assoc, scaling, topology,
-// pagecontention, fault-sweep, protocol-compare) read their axis
-// values FROM their grid; only those values are shared. A grid cell
-// runs seed 11 where its runner uses seedFor(seed, id), and several
-// runners build other machines or streams than their grid names
-// (DESIGN §11 lists them), so the event goldens pin the grid cells and
-// the EXPERIMENTS.md drift check pins the experiments. The
-// program-driven experiments (locks, ipc, workqueue, …) publish the
-// machine grid their closures run on, with workload kind "none" —
-// their reference streams are generated in code, not replayed from a
-// spec.
+// This file holds the scenario.Grids whose axes a runner reads: fig4,
+// assoc, scaling, topology, pagecontention, fault-sweep and
+// protocol-compare (protocolcompare.go). Each runner takes its axis
+// values, and most of them the base machine shape and refs per board,
+// from its grid; it builds its own machines through Options.machine
+// and runs them at seedFor(seed, id). TestEventGoldens pins the event
+// order of those machines.
 
 // profileAxis lists the registered workload profiles as a grid axis.
 func profileAxis() []scenario.RawValue {
@@ -164,139 +158,6 @@ func faultSweepGrid(Options) *scenario.Grid {
 	}
 }
 
-// singleCell wraps one machine+workload spec as a one-cell grid.
-func singleCell(name string, spec scenario.Spec) func(Options) *scenario.Grid {
-	return func(Options) *scenario.Grid {
-		return &scenario.Grid{Name: name, Base: spec}
-	}
-}
-
-// none is the workload spec for program-driven experiments whose
-// reference streams are synthesized in code.
+// none is the workload spec of a grid whose runner synthesizes its
+// reference streams in code.
 var none = scenario.WorkloadSpec{Kind: scenario.WorkloadNone}
-
-// scenarioGrids maps every registry ID to its Grid constructor. The
-// registry-coverage test pins that this map and Registry never drift.
-var scenarioGrids = map[string]func(Options) *scenario.Grid{
-	"fig1": singleCell("fig1", scenario.Spec{Machine: scenario.MachineSpec{Processors: 1}, Workload: none}),
-	"table1": func(Options) *scenario.Grid {
-		return &scenario.Grid{
-			Name: "table1",
-			Base: scenario.Spec{Machine: machineSpec(1, 128<<10), Workload: none},
-			Axes: []scenario.Axis{{Path: "machine.page_size", Values: scenario.Values(128, 256, 512)}},
-		}
-	},
-	"table2": func(Options) *scenario.Grid {
-		return &scenario.Grid{
-			Name: "table2",
-			Base: scenario.Spec{Machine: machineSpec(1, 128<<10), Workload: none},
-			Axes: []scenario.Axis{{Path: "machine.page_size", Values: scenario.Values(128, 256, 512)}},
-		}
-	},
-	"fig2": singleCell("fig2", scenario.Spec{Machine: scenario.MachineSpec{Processors: 1}, Workload: none}),
-	"fig3": func(Options) *scenario.Grid {
-		return &scenario.Grid{
-			Name: "fig3",
-			Base: scenario.Spec{Machine: machineSpec(1, 128<<10), Workload: none},
-			Axes: []scenario.Axis{{Path: "machine.page_size", Values: scenario.Values(128, 256, 512)}},
-		}
-	},
-	"fig4": fig4Grid,
-	"fig5": func(o Options) *scenario.Grid {
-		return singleCell("fig5", scenario.Spec{
-			Machine:  machineSpec(1, 128<<10),
-			Workload: scenario.WorkloadSpec{Kind: scenario.WorkloadProfile, Profile: "edit", Refs: o.traceLen()},
-		})(o)
-	},
-	"locks": func(Options) *scenario.Grid {
-		return &scenario.Grid{
-			Name: "locks",
-			Base: scenario.Spec{Machine: machineSpec(2, 64<<10), Workload: none,
-				Kernel: &scenario.KernelSpec{UncachedPages: 2}},
-			Axes: []scenario.Axis{{Path: "machine.processors", Values: scenario.Values(2, 4)}},
-		}
-	},
-	"protocols":   singleCell("protocols", scenario.Spec{Machine: machineSpec(4, 64<<10), Workload: none}),
-	"copier":      singleCell("copier", scenario.Spec{Machine: machineSpec(1, 128<<10), Workload: none}),
-	"readprivate": singleCell("readprivate", scenario.Spec{Machine: machineSpec(1, 128<<10), Workload: none}),
-	"scaling":     scalingGrid,
-	"topology":    topologyGrid,
-	"fifo": func(Options) *scenario.Grid {
-		return &scenario.Grid{
-			Name: "fifo",
-			Base: scenario.Spec{Machine: machineSpec(4, 64<<10), Workload: none},
-			Axes: []scenario.Axis{{Path: "machine.fifo_depth", Values: scenario.Values(4, 16, 128)}},
-		}
-	},
-	"alias":       singleCell("alias", scenario.Spec{Machine: machineSpec(1, 64<<10), Workload: none}),
-	"translation": singleCell("translation", scenario.Spec{Machine: machineSpec(2, 64<<10), Workload: none}),
-	"clustering": func(Options) *scenario.Grid {
-		return &scenario.Grid{
-			Name: "clustering",
-			Base: scenario.Spec{Machine: machineSpec(1, 128<<10), Workload: none},
-			Axes: []scenario.Axis{{Path: "machine.page_size", Values: scenario.Values(128, 256, 512)}},
-		}
-	},
-	"asid": func(o Options) *scenario.Grid {
-		refs := 60_000
-		if o.Quick {
-			refs = 12_000
-		}
-		return &scenario.Grid{
-			Name: "asid",
-			Base: scenario.Spec{
-				Machine:  machineSpec(1, 128<<10),
-				Workload: scenario.WorkloadSpec{Kind: scenario.WorkloadProfile, Profile: "edit", Refs: refs},
-				Kernel:   &scenario.KernelSpec{Sched: &scenario.SchedSpec{Tasks: 2}},
-			},
-			Axes: []scenario.Axis{{Path: "kernel.sched.flush_on_switch", Values: scenario.Values(false, true)}},
-		}
-	},
-	"pagecontention": pageContentionGrid,
-	"spinfair":       singleCell("spinfair", scenario.Spec{Machine: machineSpec(4, 64<<10), Workload: none}),
-	"assoc":          assocGrid,
-	"app": func(Options) *scenario.Grid {
-		return &scenario.Grid{
-			Name: "app",
-			Base: scenario.Spec{Machine: machineSpec(1, 128<<10), Workload: none,
-				Kernel: &scenario.KernelSpec{UncachedPages: 1}},
-			Axes: []scenario.Axis{{Path: "machine.processors", Values: scenario.Values(1, 2, 4, 6)}},
-		}
-	},
-	"ipc": singleCell("ipc", scenario.Spec{Machine: machineSpec(2, 64<<10), Workload: none,
-		Kernel: &scenario.KernelSpec{UncachedPages: 2}}),
-	"workqueue": func(Options) *scenario.Grid {
-		return &scenario.Grid{
-			Name: "workqueue",
-			Base: scenario.Spec{Machine: machineSpec(1, 64<<10), Workload: none,
-				Kernel: &scenario.KernelSpec{UncachedPages: 1}},
-			Axes: []scenario.Axis{{Path: "machine.processors", Values: scenario.Values(1, 2, 4, 6)}},
-		}
-	},
-	"consistency": func(o Options) *scenario.Grid {
-		return singleCell("consistency", scenario.Spec{
-			Machine:  machineSpec(4, 128<<10),
-			Workload: scenario.WorkloadSpec{Kind: scenario.WorkloadProfile, Profile: "edit", Refs: o.traceLen()},
-		})(o)
-	},
-	"fault-sweep":      faultSweepGrid,
-	"protocol-compare": protocolCompareGrid,
-	"misscost": func(o Options) *scenario.Grid {
-		return singleCell("misscost", scenario.Spec{
-			Machine:  machineSpec(4, 128<<10),
-			Workload: scenario.WorkloadSpec{Kind: scenario.WorkloadProfile, Profile: "edit", Refs: o.traceLen()},
-			Obs:      scenario.ObsSpec{Stream: true},
-		})(o)
-	},
-}
-
-// Scenario returns the declarative Grid for a registered experiment:
-// the machines and workloads it sweeps, as serializable data. The
-// boolean reports whether the ID is registered.
-func Scenario(id string, o Options) (*scenario.Grid, bool) {
-	ctor, ok := scenarioGrids[id]
-	if !ok {
-		return nil, false
-	}
-	return ctor(o), true
-}

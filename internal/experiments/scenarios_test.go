@@ -7,24 +7,22 @@ import (
 	"vmp/internal/scenario"
 )
 
-// TestEveryExperimentHasScenario pins the tentpole acceptance
-// criterion: every registered experiment is expressible as a
-// scenario.Grid — the grid exists, expands, and every cell's Spec
-// validates, fingerprints and round-trips through canonical JSON.
-func TestEveryExperimentHasScenario(t *testing.T) {
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			g, ok := Scenario(e.ID, DefaultOptions())
-			if !ok {
-				t.Fatalf("no scenario grid for registered experiment %q", e.ID)
-			}
+// TestGridsRoundTrip checks every grid the package keeps — the runner
+// grids and the goldens' fixtures — at default and quick options: the
+// grid expands, and every cell's spec fingerprints and round-trips
+// through canonical JSON to the same bytes and fingerprint.
+func TestGridsRoundTrip(t *testing.T) {
+	for _, quick := range []bool{false, true} {
+		o := DefaultOptions()
+		o.Quick = quick
+		grids := append(goldenGrids(o), pageContentionGrid(o), faultSweepGrid(o), protocolCompareGrid(o))
+		for _, g := range grids {
 			cells, err := g.Expand()
 			if err != nil {
-				t.Fatalf("grid for %q does not expand: %v", e.ID, err)
+				t.Fatalf("grid %q (quick=%v) does not expand: %v", g.Name, quick, err)
 			}
 			if len(cells) == 0 {
-				t.Fatalf("grid for %q expanded to zero cells", e.ID)
+				t.Fatalf("grid %q (quick=%v) expanded to zero cells", g.Name, quick)
 			}
 			for _, c := range cells {
 				fp, err := c.Spec.Fingerprint()
@@ -54,34 +52,6 @@ func TestEveryExperimentHasScenario(t *testing.T) {
 					t.Errorf("cell %q fingerprint changed across the round trip: %s vs %s", c.Name, fp, fp2)
 				}
 			}
-		})
-	}
-}
-
-// TestScenarioMapHasNoStrays checks the grid map names only registered
-// experiments, so the map and the Registry cannot drift apart.
-func TestScenarioMapHasNoStrays(t *testing.T) {
-	for id := range scenarioGrids {
-		if _, ok := Lookup(id); !ok {
-			t.Errorf("scenarioGrids entry %q is not a registered experiment", id)
-		}
-	}
-	if _, ok := Scenario("no-such-experiment", DefaultOptions()); ok {
-		t.Error("Scenario returned a grid for an unregistered ID")
-	}
-}
-
-// TestScenarioQuickVariants checks the quick-mode grids also expand.
-func TestScenarioQuickVariants(t *testing.T) {
-	o := DefaultOptions()
-	o.Quick = true
-	for _, e := range All() {
-		g, ok := Scenario(e.ID, o)
-		if !ok {
-			t.Fatalf("no quick grid for %q", e.ID)
-		}
-		if _, err := g.Expand(); err != nil {
-			t.Errorf("quick grid for %q does not expand: %v", e.ID, err)
 		}
 	}
 }
