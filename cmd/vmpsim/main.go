@@ -232,14 +232,9 @@ func main() {
 
 	t := stats.NewTable("Per-board results",
 		"Board", "Refs", "Miss Ratio (%)", "Performance", "WriteBacks", "Inval In", "Downgrades", "Retries", "Recoveries")
-	var violations uint64
-	for i, b := range m.Boards {
-		cs := b.Cache.Stats()
-		bs := b.Stats()
-		missRatio := 100 * float64(cs.Fills) / float64(bs.Refs)
-		t.Add(i, bs.Refs, missRatio, m.Performance(i),
-			bs.WriteBacks, bs.InvalidationsIn, bs.DowngradesIn, bs.Retries, bs.Recoveries)
-		violations += bs.Violations
+	for i, b := range res.Summary.Boards {
+		t.Add(i, b.Refs, b.MissRatioPct, b.Performance,
+			b.WriteBacks, b.InvalIn, b.DowngradesIn, b.Retries, b.Recoveries)
 	}
 	fmt.Println(t)
 
@@ -287,8 +282,8 @@ func main() {
 	// Per-board violation counters record protocol violations the boards
 	// themselves observed (e.g. a write-back against a privately held
 	// frame); a run that saw any must not report success.
-	if violations > 0 {
-		fmt.Fprintf(os.Stderr, "vmpsim: %d protocol violation(s) observed by boards\n", violations)
+	if v := res.Summary.Violations; v > 0 {
+		fmt.Fprintf(os.Stderr, "vmpsim: %d protocol violation(s) observed by boards\n", v)
 		os.Exit(1)
 	}
 }
