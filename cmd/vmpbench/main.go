@@ -73,7 +73,7 @@ func main() {
 		jsonOut = flag.Bool("json", false, "emit machine-readable JSON results")
 		mdOut   = flag.Bool("md", false, "emit EXPERIMENTS.md-style markdown")
 		faults  = flag.String("faults", "", "inject faults into every machine, e.g. abort=0.05,copy=0.02 (empty/none = off)")
-		check   = flag.Bool("check", false, "enable the protocol invariant watchdog on every machine")
+		check   = flag.Bool("check", false, "report the protocol invariant watchdog's counters for every machine (the watchdog checks every machine)")
 		sweep   = flag.String("sweep", "", "expand and run the scenario.Grid in this JSON file instead of the experiment registry")
 		outFile = flag.String("out", "", "with -sweep: write the machine-readable per-cell results to this JSON file")
 		remote  = flag.String("remote", "", "with -sweep: submit to the vmpd daemon at this base URL instead of running locally")

@@ -22,8 +22,9 @@
 //	vmpsim -procs 4 -cpuprofile cpu.pb.gz    # host-side CPU profile of the run
 //	vmpsim -procs 4 -memprofile mem.pb.gz    # heap profile at run end
 //
-// The process exits non-zero when the shadow checker reports an
-// invariant violation or any board observes a protocol violation. A
+// The process exits non-zero when the invariant watchdog, which checks
+// every run, reports a violation or any board observes a protocol
+// violation; -check only adds the watchdog's counters to the report. A
 // simulator fault (e.g. the livelock watchdog's hard limit) is
 // contained: the flight-recorder dump is written to a file, its path
 // printed, and the process exits non-zero — no raw goroutine trace.
@@ -68,7 +69,7 @@ func main() {
 		metrics     = flag.Bool("metrics", false, "dump the full per-run metrics sink (every counter)")
 		faults      = flag.String("faults", "", "fault-injection spec, e.g. abort=0.05,copy=0.02,fifo=2,storm=0.1,flip=0.02 (empty/none = off)")
 		protoFlag   = flag.String("protocol", "", "coherence protocol: "+strings.Join(protocol.Names(), ", ")+" (empty = "+protocol.DefaultName+")")
-		checkFlag   = flag.Bool("check", false, "enable the protocol invariant watchdog (implied by -faults)")
+		checkFlag   = flag.Bool("check", false, "report the protocol invariant watchdog's counters (implied by -faults; the watchdog checks every run)")
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event/Perfetto JSON trace of the run to this file")
 		dumpOnExit  = flag.Bool("dump-on-exit", false, "dump the flight recorder to stderr when the run ends")
 		hotpages    = flag.Int("hotpages", 0, "print the top-N cache pages by consistency traffic")

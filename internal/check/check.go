@@ -136,7 +136,8 @@ type Watchdog struct {
 const maxViolations = 64
 
 // New creates a watchdog for a machine whose cache-page frames are
-// pageSize bytes, registering its counters under "check/..." names.
+// pageSize bytes, registering its counters under "check/..." names
+// (none when rec is nil; the watchdog checks all the same).
 func New(rec *stats.Recorder, pageSize int) *Watchdog {
 	w := &Watchdog{pageSize: pageSize, frames: make(map[uint32]*shadowFrame)}
 	stats.Register(rec, "check/transactions", &w.transactions)

@@ -160,8 +160,14 @@ func (b *Board) MissLatency() *stats.Histogram { return b.missHist }
 func (b *Board) SetNotifyHandler(fn func(paddr uint32)) { b.onNotify = fn }
 
 // SetReadPrivateOnRead installs the unshared-region hint (Section 5.4).
+// A hinted read miss fetches a clean private page, which evict drops
+// silently, leaving a stale Private entry, as vmp3 does with its
+// exclusive-clean pages; so the watchdog's oracle allows such entries.
 func (b *Board) SetReadPrivateOnRead(fn func(asid uint8, vaddr uint32) bool) {
 	b.readPrivateOnRead = fn
+	o := b.proto.Oracle()
+	o.StalePrivateOK = true
+	b.m.watch.SetOracle(o)
 }
 
 func (b *Board) pageSize() int   { return b.m.cfg.Cache.PageSize }
@@ -424,7 +430,6 @@ func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acc
 	}
 	fi.slots = append(fi.slots, victim)
 	fi.state = st
-	b.m.checker.acquired(b.ID, frame, fi.state)
 	if depth == 0 {
 		if acc.Write {
 			b.m.VM.SetModified(asid, vaddr)
@@ -615,7 +620,6 @@ func (b *Board) evict(p *sim.Process, victim cache.SlotID) {
 			fl = obs.FlagAborted
 		}
 		b.emitPhase(obs.PhaseWriteBack, ts, p.Now()-ts, 0, b.frameAddr(frame), fl)
-		b.m.checker.released(b.ID, frame)
 	} else {
 		// Clean page (shared, or private-but-unmodified): drop the copy
 		// silently. The action-table entry is left stale — clearing it
@@ -623,9 +627,6 @@ func (b *Board) evict(p *sim.Process, victim cache.SlotID) {
 		// and the interrupt-service path handles the resulting stale
 		// words idempotently (see handleWord).
 		p.Delay(b.timing().Handler.BookkeepWB)
-		if fi.state == psPrivate {
-			b.m.checker.released(b.ID, frame)
-		}
 	}
 
 	b.detachSlot(frame, fi, victim)
@@ -643,9 +644,6 @@ func (b *Board) detachSlot(frame uint32, fi *frameInfo, slot cache.SlotID) {
 	}
 	if len(fi.slots) == 0 {
 		delete(b.frames, frame)
-		if fi.state == psShared {
-			b.m.checker.released(b.ID, frame)
-		}
 	}
 }
 
@@ -715,7 +713,6 @@ func (b *Board) upgradeOwnership(p *sim.Process, asid uint8, vaddr uint32, attem
 	fi.state = psPrivate
 	st := b.Cache.SlotState(slot)
 	b.Cache.SetFlags(slot, st.Flags|cache.Exclusive)
-	b.m.checker.upgraded(b.ID, frame)
 	b.m.VM.SetModified(asid, vaddr)
 	p.Delay(t.Handler.Epilogue)
 	return false
@@ -809,12 +806,10 @@ func (b *Board) releaseOwnership(p *sim.Process, frame uint32, fi *frameInfo, ke
 		b.Cache.Downgrade(slot)
 		fi.state = psShared
 		b.stats.DowngradesIn++
-		b.m.checker.downgraded(b.ID, frame)
 	} else {
 		b.Cache.Invalidate(slot)
 		b.detachSlot(frame, fi, slot)
 		b.stats.InvalidationsIn++
-		b.m.checker.released(b.ID, frame)
 	}
 }
 

@@ -50,8 +50,10 @@ type Config struct {
 	// FaultSeed seeds the fault plan; the same (spec, seed) pair
 	// reproduces the same fault sequence.
 	FaultSeed uint64
-	// Watchdog attaches the protocol invariant watchdog (internal/check)
-	// to every bus transaction. It is implied by an enabled fault spec.
+	// Watchdog registers the protocol invariant watchdog's counters
+	// ("check/..." names) in the machine's recorder, so they appear in
+	// run summaries. The watchdog (internal/check) checks every machine
+	// whether or not this is set. It is implied by an enabled fault spec.
 	Watchdog bool
 	// Obs configures the machine's observability sink (internal/obs):
 	// flight recorder, per-phase latency histograms, hot-page
@@ -156,7 +158,6 @@ type Machine struct {
 
 	cfg      Config
 	proto    protocol.Protocol
-	checker  *checker
 	inj      *fault.Injector
 	watch    *check.Watchdog
 	sink     *obs.Sink
@@ -192,7 +193,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		VM:          vm.New(mem),
 		cfg:         cfg,
 		proto:       proto,
-		checker:     newChecker(),
 		finishTimes: make(map[int]sim.Time),
 	}
 	if cfg.BusTiming != (bus.Timing{}) {
@@ -220,24 +220,26 @@ func NewMachine(cfg Config) (*Machine, error) {
 			}
 		}
 	}
+	// Every machine has the watchdog; Config.Watchdog only decides
+	// whether its counters are registered (a nil recorder drops them).
+	var wrec *stats.Recorder
 	if cfg.Watchdog {
-		m.watch = check.New(eng.Recorder(), cfg.Cache.PageSize)
-		m.watch.SetOracle(m.proto.Oracle())
-		m.watch.SetExpectCorruption(m.inj != nil && m.inj.Spec().FlipRate > 0)
-		for _, b := range m.Boards {
-			m.watch.Attach(boardView{b})
-		}
-		// Dump the flight recorder the moment the first violation is
-		// recorded, while the events leading up to it are still in the
-		// ring (AutoDump is once-only; later violations are no-ops).
-		m.watch.SetViolationHook(func(msg string) {
-			m.sink.Emit(obs.Event{Time: m.sink.Now(), Kind: obs.KindViolation})
-			m.sink.AutoDump("protocol violation: " + msg)
-		})
+		wrec = eng.Recorder()
 	}
-	if m.inj != nil || m.watch != nil {
-		ic.SetObserver(m.observeBus)
+	m.watch = check.New(wrec, cfg.Cache.PageSize)
+	m.watch.SetOracle(m.proto.Oracle())
+	m.watch.SetExpectCorruption(m.inj != nil && m.inj.Spec().FlipRate > 0)
+	for _, b := range m.Boards {
+		m.watch.Attach(boardView{b})
 	}
+	// Dump the flight recorder the moment the first violation is
+	// recorded, while the events leading up to it are still in the
+	// ring (AutoDump is once-only; later violations are no-ops).
+	m.watch.SetViolationHook(func(msg string) {
+		m.sink.Emit(obs.Event{Time: m.sink.Now(), Kind: obs.KindViolation})
+		m.sink.AutoDump("protocol violation: " + msg)
+	})
+	ic.SetObserver(m.observeBus)
 	return m, nil
 }
 
@@ -246,9 +248,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 // then the fault layer may corrupt an action-table entry for the
 // transaction's frame.
 func (m *Machine) observeBus(tx bus.Transaction, res bus.Result) {
-	if m.watch != nil {
-		m.watch.OnTransaction(tx, res)
-	}
+	m.watch.OnTransaction(tx, res)
 	if m.inj != nil && tx.Op.ConsistencyRelated() {
 		m.injectFlip(tx)
 	}
@@ -585,26 +585,26 @@ func (m *Machine) CheckInvariants() []string {
 }
 
 func (m *Machine) checkInvariants() []string {
-	var out []string
-	if m.watch != nil {
-		// The watchdog's quiescent sweep runs first: it repairs injected
-		// table corruption (counting each detection) so the strict
-		// per-board checks below see a sane table, and records genuine
-		// protocol violations.
-		m.watch.FinalSweep()
-		out = append(out, m.watch.Violations()...)
-	}
-	out = append(out, m.checker.Violations()...)
-	if !m.pendingWords() {
-		out = append(out, m.checker.quiescentCheck()...)
-	}
+	// The watchdog's quiescent sweep runs first: it repairs injected
+	// table corruption (counting each detection) so the strict
+	// per-board checks below see a sane table, and records genuine
+	// protocol violations.
+	m.watch.FinalSweep()
+	out := append([]string(nil), m.watch.Violations()...)
+	quiescent := !m.pendingWords()
 	for _, b := range m.Boards {
-		out = append(out, m.checkBoard(b)...)
+		out = append(out, m.checkBoard(b, quiescent)...)
 	}
 	return out
 }
 
-func (m *Machine) checkBoard(b *Board) []string {
+// checkBoard verifies one board's local tables against its cache. When
+// quiescent (every FIFO drained), it also probes the other boards'
+// tables: no other board may hold a frame this board holds privately.
+// A shared copy kept past its invalidation, with its Shared entry,
+// breaks that without the bus seeing it; mid-run the invalidation
+// words may legally still be in flight.
+func (m *Machine) checkBoard(b *Board, quiescent bool) []string {
 	var out []string
 	// Every valid cache slot must be recorded under its frame.
 	slotSeen := make(map[cache.SlotID]uint32)
@@ -637,18 +637,11 @@ func (m *Machine) checkBoard(b *Board) []string {
 				out = append(out, fmt.Sprintf("board %d: slot %d frame map mismatch", b.ID, s))
 			}
 		}
-		// The monitor must reflect at least the protection the state
-		// requires (Private for owned pages; Shared entries may be
-		// stale on other frames but never *missing* here).
-		act := b.Mon.Action(b.frameAddr(f))
-		switch fi.state {
-		case psPrivate:
-			if act != monitor.Private {
-				out = append(out, fmt.Sprintf("board %d: private frame %d has action %v", b.ID, f, act))
-			}
-		case psShared:
-			if act != monitor.Shared {
-				out = append(out, fmt.Sprintf("board %d: shared frame %d has action %v", b.ID, f, act))
+		if quiescent && fi.state == psPrivate {
+			for _, o := range m.Boards {
+				if o != b && o.frames[f] != nil {
+					out = append(out, fmt.Sprintf("frame %d owned by board %d but also held by board %d", f, b.ID, o.ID))
+				}
 			}
 		}
 	}

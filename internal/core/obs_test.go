@@ -150,13 +150,21 @@ func TestPhaseHistogramsPopulated(t *testing.T) {
 // TestViolationHookDumpsFlightRecorder proves the auto-dump path: the
 // moment the watchdog records a protocol violation, the machine emits a
 // KindViolation event and dumps the ring to the configured writer.
+// Every machine has the watchdog, so the hook fires with or without
+// Config.Watchdog.
 func TestViolationHookDumpsFlightRecorder(t *testing.T) {
+	for _, on := range []bool{false, true} {
+		t.Run(fmt.Sprintf("Watchdog=%v", on), func(t *testing.T) { violationHookDumps(t, on) })
+	}
+}
+
+func violationHookDumps(t *testing.T, watchdog bool) {
 	var dump bytes.Buffer
 	m, err := NewMachine(Config{
 		Processors: 2,
 		Cache:      cache.Geometry(8<<10, 256, 2),
 		MemorySize: 4 << 20,
-		Watchdog:   true,
+		Watchdog:   watchdog,
 		Obs:        &obs.Config{RingSize: 64, DumpTo: &dump},
 	})
 	if err != nil {

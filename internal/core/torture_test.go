@@ -13,7 +13,8 @@ import (
 // The torture tests stress the consistency protocol with randomized
 // multi-processor programs and verify three oracles afterwards:
 //
-//  1. the protocol invariant checker (single owner, no stale sharers);
+//  1. the protocol invariant watchdog and CheckInvariants (single
+//     owner, no stale sharers);
 //  2. per-word data integrity: each processor owns a disjoint set of
 //     words inside *shared* cache pages (deliberate false sharing), and
 //     every word must end holding the last value its owner wrote;

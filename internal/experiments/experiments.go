@@ -40,8 +40,9 @@ type Options struct {
 	// every machine an experiment builds (seeded per machine from the
 	// experiment seed, so runs stay deterministic).
 	Faults *fault.Spec
-	// Check enables the protocol invariant watchdog on every machine even
-	// when no faults are injected.
+	// Check registers the protocol invariant watchdog's counters on
+	// every machine even when no faults are injected, so they appear in
+	// the run metrics. The watchdog checks every machine either way.
 	Check bool
 
 	// track collects the engines a run constructs, so the run layer can

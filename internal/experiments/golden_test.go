@@ -112,14 +112,14 @@ func experimentLines(t *testing.T, o Options) []string {
 			continue
 		}
 		n := 0
-		for k, eng := range tr.engines {
+		for k, r := range tr.done {
 			name := fmt.Sprintf("exp:%s#%d", e.ID, k)
-			fired := eng.Metrics().EventsFired
-			switch s := tr.sinks[k]; {
-			case s == nil:
-				lines = append(lines, fmt.Sprintf("%s engine %d %d", name, fired, eng.Now()))
-			case s.Total() > 0:
-				lines = append(lines, fmt.Sprintf("%s %016x %d", name, s.Digest(), fired))
+			fired := r.metrics.EventsFired
+			switch {
+			case r.bare:
+				lines = append(lines, fmt.Sprintf("%s engine %d %d", name, fired, r.now))
+			case r.events > 0:
+				lines = append(lines, fmt.Sprintf("%s %016x %d", name, r.digest, fired))
 			default:
 				continue
 			}

@@ -8,26 +8,65 @@ import (
 	"vmp/internal/sim"
 )
 
-// engineTrack collects every engine one experiment run constructs, so
+// engineTrack records every engine one experiment run constructs, so
 // the run layer can aggregate engine metrics after the runner returns.
 // It is run-confined: a fresh tracker is made per runOne call and only
-// that experiment's helpers append to it.
+// that experiment's helpers add to it. It holds only the engine added
+// last: when the next one is added, and in metrics, the finished engine
+// is reduced to an engineRecord and dropped, so its machine can be
+// freed. Every runner finishes one machine before building the next;
+// the event goldens' exp: pins would catch one that did not.
 type engineTrack struct {
-	engines []*sim.Engine
-	// sinks[k] is the sink of the machine that owns engines[k], or nil
-	// for a bare engine.
-	sinks []*obs.Sink
+	done []engineRecord
+	// live is the engine added last, and sink its machine's sink (nil
+	// for a bare engine).
+	live *sim.Engine
+	sink *obs.Sink
 	// stream builds every machine with its full event stream retained,
-	// so the event goldens can pin each machine's event order. Only
-	// that test sets it.
+	// and records each sink's digest, so the event goldens can pin each
+	// machine's event order. Only that test sets it.
 	stream bool
+}
+
+// engineRecord is what the tracker keeps of one finished engine.
+type engineRecord struct {
+	now          sim.Time
+	metrics      sim.Metrics
+	fault, check map[string]int64 // the "fault/" and "check/" groups
+	bare         bool             // built without a machine, so no sink
+	// events is the sink's event total, and digest its event digest
+	// (recorded only under stream).
+	events, digest uint64
 }
 
 func (t *engineTrack) add(e *sim.Engine, s *obs.Sink) {
 	if t != nil {
-		t.engines = append(t.engines, e)
-		t.sinks = append(t.sinks, s)
+		t.finish()
+		t.live, t.sink = e, s
 	}
+}
+
+// finish records the live engine, if there is one, and drops it.
+func (t *engineTrack) finish() {
+	if t.live == nil {
+		return
+	}
+	rec := t.live.Recorder()
+	r := engineRecord{
+		now:     t.live.Now(),
+		metrics: t.live.Metrics(),
+		fault:   rec.Group("fault/"),
+		check:   rec.Group("check/"),
+		bare:    t.sink == nil,
+	}
+	if t.sink != nil {
+		r.events = t.sink.Total()
+		if t.stream {
+			r.digest = t.sink.Digest()
+		}
+	}
+	t.done = append(t.done, r)
+	t.live, t.sink = nil, nil
 }
 
 // Metrics aggregates engine activity across every engine one
@@ -50,18 +89,18 @@ type Metrics struct {
 }
 
 func (t *engineTrack) metrics(wall time.Duration) Metrics {
+	t.finish()
 	m := Metrics{Wall: wall}
-	for _, e := range t.engines {
-		em := e.Metrics()
-		m.SimTime += e.Now()
-		m.EventsFired += em.EventsFired
-		m.EventsScheduled += em.EventsScheduled
-		if em.MaxQueueDepth > m.MaxQueueDepth {
-			m.MaxQueueDepth = em.MaxQueueDepth
+	for _, r := range t.done {
+		m.SimTime += r.now
+		m.EventsFired += r.metrics.EventsFired
+		m.EventsScheduled += r.metrics.EventsScheduled
+		if r.metrics.MaxQueueDepth > m.MaxQueueDepth {
+			m.MaxQueueDepth = r.metrics.MaxQueueDepth
 		}
 		m.Engines++
-		m.FaultCounters = addGroup(m.FaultCounters, e.Recorder().Group("fault/"))
-		m.CheckCounters = addGroup(m.CheckCounters, e.Recorder().Group("check/"))
+		m.FaultCounters = addGroup(m.FaultCounters, r.fault)
+		m.CheckCounters = addGroup(m.CheckCounters, r.check)
 	}
 	return m
 }

@@ -74,8 +74,9 @@ type Spec struct {
 	// e.g. "abort=0.05,copy=0.02,fifo=2,storm=0.1,flip=0.02". Empty or
 	// "none" injects nothing.
 	Faults string `json:"faults,omitempty"`
-	// Check enables the protocol invariant watchdog even with no faults
-	// (an enabled fault plan implies it).
+	// Check adds the protocol invariant watchdog's counters to the run
+	// summary even with no faults (an enabled fault plan implies it).
+	// The watchdog checks every run either way.
 	Check bool    `json:"check,omitempty"`
 	Obs   ObsSpec `json:"obs,omitempty"`
 }

@@ -41,7 +41,7 @@ type CellResult struct {
 	Fingerprint string  `json:"fingerprint,omitempty"`
 	Spec        Spec    `json:"spec"`
 	Summary     Summary `json:"summary"`
-	// Violations carries invariant-checker reports verbatim.
+	// Violations carries the run's invariant reports verbatim.
 	Violations []string `json:"violations,omitempty"`
 	// Err is set when the cell failed to run at all.
 	Err string `json:"error,omitempty"`
