@@ -9,6 +9,12 @@
 // simulator can keep a single backing store and let processors read and
 // write it directly while the protocol (checked elsewhere) keeps those
 // accesses race-free in simulated time.
+//
+// The bytes exist from their first write. The store is a row of 4 KiB
+// chunks, one VM page each, and a chunk is allocated when something
+// first writes into it; memory that nothing has written reads as zero.
+// A trace workload writes only its page tables, so a machine costs the
+// host the pages its run writes, not the whole image.
 package memory
 
 import (
@@ -38,43 +44,51 @@ func (t Timing) BlockTime(n int) sim.Time {
 	return t.FirstWord + sim.Time(words-1)*t.NextWord
 }
 
+// A chunk is one VM page of backing store, so a page-table page is one
+// chunk.
+const (
+	chunkShift = 12
+	chunkSize  = 1 << chunkShift
+	chunkMask  = chunkSize - 1
+)
+
+type chunk = [chunkSize]byte
+
 // Memory is the shared main memory.
 type Memory struct {
-	data      []byte
+	chunks    []*chunk // nil until first written
+	size      int
 	pageSize  int
 	timing    Timing
-	freeList  []uint32 // free frame numbers, LIFO
+	next      uint32   // lowest frame never handed out
+	freed     []uint32 // frames freed since, LIFO
 	allocated []bool
 }
 
 // New creates a memory of size bytes divided into frames of pageSize
-// bytes. Both must be powers of two with pageSize dividing size.
+// bytes; pageSize must divide size. It allocates no backing store: the
+// bytes exist from their first write.
 func New(size, pageSize int) *Memory {
 	if size <= 0 || pageSize <= 0 || size%pageSize != 0 {
 		panic(fmt.Sprintf("memory: bad geometry size=%d pageSize=%d", size, pageSize))
 	}
-	m := &Memory{
-		data:      make([]byte, size),
+	return &Memory{
+		chunks:    make([]*chunk, (size+chunkMask)>>chunkShift),
+		size:      size,
 		pageSize:  pageSize,
 		timing:    DefaultTiming(),
 		allocated: make([]bool, size/pageSize),
 	}
-	// Populate the free list high-to-low so Alloc hands out frame 0,
-	// 1, 2... in order (deterministic and easy to read in tests).
-	for f := m.Frames() - 1; f >= 0; f-- {
-		m.freeList = append(m.freeList, uint32(f))
-	}
-	return m
 }
 
 // Size returns the memory size in bytes.
-func (m *Memory) Size() int { return len(m.data) }
+func (m *Memory) Size() int { return m.size }
 
 // PageSize returns the frame size in bytes.
 func (m *Memory) PageSize() int { return m.pageSize }
 
 // Frames returns the number of cache page frames.
-func (m *Memory) Frames() int { return len(m.data) / m.pageSize }
+func (m *Memory) Frames() int { return len(m.allocated) }
 
 // Timing returns the board timing constants.
 func (m *Memory) Timing() Timing { return m.timing }
@@ -85,43 +99,114 @@ func (m *Memory) Frame(paddr uint32) uint32 { return paddr / uint32(m.pageSize) 
 // FrameAddr returns the first physical address of a frame.
 func (m *Memory) FrameAddr(frame uint32) uint32 { return frame * uint32(m.pageSize) }
 
+// inRange panics unless the n bytes at paddr lie inside the memory.
+func (m *Memory) inRange(paddr uint32, n int) {
+	if uint64(paddr)+uint64(n) > uint64(m.size) {
+		panic(fmt.Sprintf("memory: %d bytes at %#x outside %d bytes of memory", n, paddr, m.size))
+	}
+}
+
 // ReadWord returns the 32-bit word at paddr (must be in range; 4-byte
 // aligned addresses are the norm, but any in-range address works).
 func (m *Memory) ReadWord(paddr uint32) uint32 {
-	return binary.LittleEndian.Uint32(m.data[paddr : paddr+4])
+	if off := paddr & chunkMask; off <= chunkSize-4 && int(paddr) <= m.size-4 {
+		if c := m.chunks[paddr>>chunkShift]; c != nil {
+			return binary.LittleEndian.Uint32(c[off:])
+		}
+		return 0
+	}
+	var b [4]byte // a word across two chunks, or out of range
+	m.read(paddr, b[:])
+	return binary.LittleEndian.Uint32(b[:])
 }
 
 // WriteWord stores a 32-bit word at paddr.
 func (m *Memory) WriteWord(paddr uint32, v uint32) {
-	binary.LittleEndian.PutUint32(m.data[paddr:paddr+4], v)
+	if off := paddr & chunkMask; off <= chunkSize-4 && int(paddr) <= m.size-4 {
+		c := m.chunks[paddr>>chunkShift]
+		if c == nil {
+			c = m.alloc(paddr)
+		}
+		binary.LittleEndian.PutUint32(c[off:], v)
+		return
+	}
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	m.WriteBlock(paddr, b[:])
+}
+
+// alloc allocates the chunk holding paddr.
+func (m *Memory) alloc(paddr uint32) *chunk {
+	c := new(chunk)
+	m.chunks[paddr>>chunkShift] = c
+	return c
+}
+
+// span returns the part of the n bytes at paddr that lies in paddr's
+// chunk: that chunk (nil if nothing has written it) and the offset and
+// length of the part within it.
+func (m *Memory) span(paddr uint32, n int) (c *chunk, off, k int) {
+	off = int(paddr & chunkMask)
+	return m.chunks[paddr>>chunkShift], off, min(n, chunkSize-off)
+}
+
+// read copies len(dst) bytes starting at paddr into dst.
+func (m *Memory) read(paddr uint32, dst []byte) {
+	m.inRange(paddr, len(dst))
+	for done := 0; done < len(dst); {
+		c, off, k := m.span(paddr+uint32(done), len(dst)-done)
+		if c != nil {
+			copy(dst[done:], c[off:off+k])
+		}
+		done += k
+	}
 }
 
 // ReadBlock copies out n bytes starting at paddr.
 func (m *Memory) ReadBlock(paddr uint32, n int) []byte {
 	out := make([]byte, n)
-	copy(out, m.data[paddr:int(paddr)+n])
+	m.read(paddr, out)
 	return out
 }
 
 // WriteBlock stores b starting at paddr.
 func (m *Memory) WriteBlock(paddr uint32, b []byte) {
-	copy(m.data[paddr:int(paddr)+len(b)], b)
+	m.inRange(paddr, len(b))
+	for done := 0; done < len(b); {
+		c, off, k := m.span(paddr+uint32(done), len(b)-done)
+		if c == nil {
+			c = m.alloc(paddr + uint32(done))
+		}
+		done += copy(c[off:off+k], b[done:])
+	}
 }
 
-// AllocFrame takes a free frame, zeroing its contents. The second result
-// is false when memory is exhausted (the page-out daemon's cue).
+// AllocFrame takes a free frame, zeroing its contents: the frame freed
+// last, or else the lowest frame never handed out, which is the order a
+// LIFO list of every frame, pushed high to low, would give. The second
+// result is false when memory is exhausted (the page-out daemon's cue).
 func (m *Memory) AllocFrame() (uint32, bool) {
-	for len(m.freeList) > 0 {
-		f := m.freeList[len(m.freeList)-1]
-		m.freeList = m.freeList[:len(m.freeList)-1]
-		if !m.allocated[f] {
-			m.allocated[f] = true
-			start := int(f) * m.pageSize
-			clear(m.data[start : start+m.pageSize])
-			return f, true
-		}
+	var f uint32
+	switch n := len(m.freed); {
+	case n > 0:
+		f = m.freed[n-1]
+		m.freed = m.freed[:n-1]
+	case int(m.next) < len(m.allocated):
+		f = m.next
+		m.next++
+	default:
+		return 0, false
 	}
-	return 0, false
+	m.allocated[f] = true
+	start := m.FrameAddr(f)
+	for done := 0; done < m.pageSize; {
+		c, off, k := m.span(start+uint32(done), m.pageSize-done)
+		if c != nil {
+			clear(c[off : off+k])
+		}
+		done += k
+	}
+	return f, true
 }
 
 // FreeFrame returns a frame to the allocator. Double frees panic: they
@@ -131,18 +216,12 @@ func (m *Memory) FreeFrame(f uint32) {
 		panic(fmt.Sprintf("memory: free of unallocated frame %d", f))
 	}
 	m.allocated[f] = false
-	m.freeList = append(m.freeList, f)
+	m.freed = append(m.freed, f)
 }
 
 // FreeFrames reports how many frames remain unallocated.
 func (m *Memory) FreeFrames() int {
-	n := 0
-	for _, a := range m.allocated {
-		if !a {
-			n++
-		}
-	}
-	return n
+	return len(m.allocated) - int(m.next) + len(m.freed)
 }
 
 // Allocated reports whether frame f is currently allocated.

@@ -304,7 +304,7 @@ func (e *equivalence) do() {
 		e.m.WriteWord(a, v)
 		binary.LittleEndian.PutUint32(e.ref.data[a:], v)
 	case op < 85:
-		b := make([]byte, e.rng.IntN(min(len(e.ref.data), 2*4096+1)))
+		b := make([]byte, e.rng.IntN(min(len(e.ref.data), 2*chunkSize+1)))
 		for i := range b {
 			b[i] = byte(e.rng.UintN(256))
 		}
@@ -317,7 +317,7 @@ func (e *equivalence) do() {
 			e.fatalf("ReadWord(%#x) = %#x; reference %#x", a, got, want)
 		}
 	default:
-		n := e.rng.IntN(min(len(e.ref.data), 2*4096+1))
+		n := e.rng.IntN(min(len(e.ref.data), 2*chunkSize+1))
 		a := e.addr(n)
 		if got, want := e.m.ReadBlock(a, n), e.ref.data[a:int(a)+n]; !bytes.Equal(got, want) {
 			e.fatalf("ReadBlock(%#x, %d) differs from the reference", a, n)
@@ -394,7 +394,7 @@ func TestUnwrittenReadIsFree(t *testing.T) {
 // TestStraddleRoundTrip checks words and a block that cross a VM-page
 // boundary.
 func TestStraddleRoundTrip(t *testing.T) {
-	const boundary = 2 * 4096
+	const boundary = 2 * chunkSize
 	m := New(64<<10, 256)
 	for a := uint32(boundary - 3); a < boundary; a++ {
 		m.WriteWord(a, 0x11223344^a)
@@ -407,7 +407,7 @@ func TestStraddleRoundTrip(t *testing.T) {
 		t.Errorf("straddling word split as %x | %x", lo, hi)
 	}
 
-	in := make([]byte, 4096+100) // crosses two boundaries
+	in := make([]byte, chunkSize+100) // crosses two boundaries
 	for i := range in {
 		in[i] = byte(i*7 + 1)
 	}
@@ -415,7 +415,7 @@ func TestStraddleRoundTrip(t *testing.T) {
 	if out := m.ReadBlock(boundary-50, len(in)); !bytes.Equal(out, in) {
 		t.Error("block across VM-page boundaries did not round-trip")
 	}
-	if m.ReadWord(boundary-56) != 0 || m.ReadWord(boundary+4096+52) != 0 {
+	if m.ReadWord(boundary-56) != 0 || m.ReadWord(boundary+chunkSize+52) != 0 {
 		t.Error("block write disturbed its neighbours")
 	}
 }
@@ -448,6 +448,30 @@ func TestOutOfRangePanics(t *testing.T) {
 				}()
 				c.f()
 			}()
+		}
+	}
+}
+
+// TestFirstWriteAllocates checks that a write allocates its chunk once:
+// the first write into each chunk costs one allocation, and later
+// writes into a written chunk cost none.
+func TestFirstWriteAllocates(t *testing.T) {
+	m := New(64<<10, 256)
+	if m.Size() != 16*chunkSize {
+		t.Fatalf("memory is %d chunks, want 16", m.Size()/chunkSize)
+	}
+	next := uint32(0)
+	first := testing.AllocsPerRun(8, func() { // 9 calls: 9 fresh chunks
+		m.WriteWord(next*chunkSize+8, next+1)
+		next++
+	})
+	again := testing.AllocsPerRun(8, func() { m.WriteWord(3*chunkSize+12, 5) })
+	if first != 1 || again != 0 {
+		t.Errorf("allocations per write: %v to a fresh chunk, %v to a written one; want 1 and 0", first, again)
+	}
+	for i := uint32(0); i < next; i++ {
+		if got := m.ReadWord(i*chunkSize + 8); got != i+1 {
+			t.Errorf("chunk %d read %d, want %d", i, got, i+1)
 		}
 	}
 }
