@@ -36,6 +36,7 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"negative ways", func(c *Config) { c.Cache.Assoc = -1 }, "Cache.Assoc"},
 		{"non-positive memory", func(c *Config) { c.MemorySize = -4096 }, "MemorySize"},
 		{"unaligned memory", func(c *Config) { c.MemorySize = 8<<20 + 12 }, "MemorySize"},
+		{"memory beyond 32-bit addresses", func(c *Config) { c.MemorySize = 1<<32 + 4096 }, "MemorySize"},
 		{"FIFO depth below 1", func(c *Config) { c.FIFODepth = -1 }, "FIFODepth"},
 	}
 	for _, tc := range cases {
@@ -67,6 +68,13 @@ func TestConfigValidateAccepts(t *testing.T) {
 	}
 	if err := validBase().Validate(); err != nil {
 		t.Errorf("explicit config rejected: %v", err)
+	}
+	// Physical addresses are 32 bits, so 4 GiB is the largest memory
+	// (checked without building it).
+	full := validBase()
+	full.MemorySize = 1 << 32
+	if err := full.Validate(); err != nil {
+		t.Errorf("4 GiB memory rejected: %v", err)
 	}
 }
 

@@ -103,6 +103,9 @@ func (c Config) Validate() error {
 	if c.MemorySize%vm.PageSize != 0 {
 		return &ConfigError{"MemorySize", fmt.Sprintf("memory size %d not a multiple of the VM page size %d", c.MemorySize, vm.PageSize)}
 	}
+	if int64(c.MemorySize) > 1<<32 {
+		return &ConfigError{"MemorySize", fmt.Sprintf("memory size %d beyond the 4 GiB that 32-bit physical addresses reach", c.MemorySize)}
+	}
 	if c.FIFODepth < 1 {
 		return &ConfigError{"FIFODepth", fmt.Sprintf("FIFO depth %d; need at least 1", c.FIFODepth)}
 	}

@@ -244,6 +244,7 @@ func TestNormalizeRejections(t *testing.T) {
 		}, "usable ASIDs"},
 		{"bad fault plan", Spec{Faults: "abort=yes"}, "fault"},
 		{"private kernel past 17 boards", Spec{Machine: MachineSpec{Processors: 18}}, "share_kernel"},
+		{"memory past 32-bit addresses", Spec{Machine: MachineSpec{MemorySize: 1<<32 + 4096}}, "MemorySize"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
