@@ -14,9 +14,10 @@
 //     judged on.
 //   - Micro: allocs/op and ns/op for the hot components (engine event
 //     queue, process handoff and spawn, block-copier transfer, bus
-//     transaction path, cache lookup, trace-driven hit, monitor check,
-//     store, telemetry), via testing.Benchmark so the op counts are
-//     calibrated the same way `go test -bench` calibrates them.
+//     transaction path, cache lookup, trace-driven hit, machine build,
+//     monitor check, store, telemetry), via testing.Benchmark so the op
+//     counts are calibrated the same way `go test -bench` calibrates
+//     them.
 package perf
 
 import (
@@ -145,6 +146,7 @@ func Collect() (*Snapshot, error) {
 		{"interconnect/cross-link", benchInterconnectCross},
 		{"cache/lookup", benchCache},
 		{"core/trace-hit", benchTraceHit},
+		{"core/new-machine", benchNewMachine},
 		{"monitor/check", benchMonitor},
 		{"serve/store-put", benchStorePut},
 		{"serve/store-get", benchStoreGet},
@@ -303,6 +305,21 @@ func benchTraceHit(b *testing.B) {
 	m.Eng.Run()
 	b.StopTimer()
 	m.Eng.KillProcesses() // the copier that filled the page
+}
+
+// benchNewMachine measures building the macro's machine (4 boards, 8
+// MB of main memory) without running it. Its bytes/op is what a machine
+// costs the host before its run writes anything, so a memory image
+// allocated up front shows here as megabytes.
+func benchNewMachine(b *testing.B) {
+	cfg := macroSpec().Machine.Config()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.NewMachine(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // benchFingerprints yields n distinct well-formed fingerprints.
