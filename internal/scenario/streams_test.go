@@ -47,17 +47,17 @@ func serialTasks(t *testing.T, s *Spec, boards, tasksPer int) [][]kernel.Task {
 	return all
 }
 
-// TestBoardTasksMatchSerial checks that the concurrent set-up yields
-// the serial loop's streams, element by element: every profile with
-// the kernel region shared and sliced, the kernel scheduler's task
-// split, and a binary trace file.
-func TestBoardTasksMatchSerial(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "compile.trc")
+// writeTrace writes n references of the compile profile (seed 5) as a
+// binary trace file named name in a temporary directory and returns
+// its path.
+func writeTrace(t *testing.T, name string, n int) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs, err := workload.Generate(workload.Compile, 5, 6000)
+	refs, err := workload.Generate(workload.Compile, 5, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +67,15 @@ func TestBoardTasksMatchSerial(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
+
+// TestBoardTasksMatchSerial checks that the concurrent set-up yields
+// the serial loop's streams, element by element: every profile with
+// the kernel region shared and sliced, the kernel scheduler's task
+// split, and a binary trace file.
+func TestBoardTasksMatchSerial(t *testing.T) {
+	path := writeTrace(t, "compile.trc", 6000)
 
 	var specs []Spec
 	for _, p := range workload.Profiles() {
