@@ -5,15 +5,12 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"sync"
 
 	"vmp/internal/core"
 	"vmp/internal/isa"
 	"vmp/internal/kernel"
 	"vmp/internal/sim"
 	"vmp/internal/trace"
-	"vmp/internal/workload"
 )
 
 // RunResult is the outcome of one scenario run: the normalized spec
@@ -84,7 +81,7 @@ type BoardSummary struct {
 // many runs proceed concurrently, because each run owns its engine and
 // every stochastic stream is seeded from the spec.
 func Run(spec Spec) (*RunResult, error) {
-	return run(context.Background(), spec, nil, nil)
+	return RunCtx(context.Background(), spec)
 }
 
 // RunCtx is Run with a cancellation context: a cancelled or expired
@@ -92,7 +89,7 @@ func Run(spec Spec) (*RunResult, error) {
 // returns the context's error. A context that never fires leaves the
 // result byte-identical to Run.
 func RunCtx(ctx context.Context, spec Spec) (*RunResult, error) {
-	return run(ctx, spec, nil, nil)
+	return run(ctx, spec, newStreamTable([]Cell{{Spec: spec}}), nil, nil)
 }
 
 // PanicError is a simulator fault contained by RunGuarded: the panic
@@ -131,7 +128,12 @@ func (e *PanicError) Error() string {
 // the caller. The fault leaves no goroutines behind — the engine's
 // process coroutines are killed before returning — so a long-running
 // caller (the vmpd job runner) survives arbitrarily faulty specs.
-func RunGuarded(ctx context.Context, spec Spec) (res *RunResult, err error) {
+func RunGuarded(ctx context.Context, spec Spec) (*RunResult, error) {
+	return runGuarded(ctx, spec, newStreamTable([]Cell{{Spec: spec}}))
+}
+
+// runGuarded is RunGuarded taking its streams from st.
+func runGuarded(ctx context.Context, spec Spec, st *streamTable) (res *RunResult, err error) {
 	var dump bytes.Buffer
 	var rs runState
 	defer func() {
@@ -151,7 +153,7 @@ func RunGuarded(ctx context.Context, spec Spec) (res *RunResult, err error) {
 		}
 		res, err = nil, pe
 	}()
-	return run(ctx, spec, &dump, &rs)
+	return run(ctx, spec, st, &dump, &rs)
 }
 
 // runState lets run report partial progress back to RunGuarded's
@@ -162,16 +164,13 @@ type runState struct {
 	machine     *core.Machine
 }
 
-// run is the shared scenario executor. dumpTo, when non-nil, overrides
-// the flight-recorder dump destination (default stderr); rs, when
-// non-nil, receives progress markers for the guarded recover path.
-func run(ctx context.Context, spec Spec, dumpTo io.Writer, rs *runState) (*RunResult, error) {
-	sp, err := spec.clone() // normalize a copy; the caller's spec is left alone
+// run is the shared scenario executor. It takes the boards' streams
+// from st, which must have counted spec. dumpTo, when non-nil,
+// overrides the flight-recorder dump destination (default stderr); rs,
+// when non-nil, receives progress markers for the guarded recover path.
+func run(ctx context.Context, spec Spec, st *streamTable, dumpTo io.Writer, rs *runState) (*RunResult, error) {
+	s, err := normalized(spec)
 	if err != nil {
-		return nil, err
-	}
-	s := *sp
-	if err := s.Normalize(); err != nil {
 		return nil, err
 	}
 	fp, err := s.Fingerprint()
@@ -180,6 +179,14 @@ func run(ctx context.Context, spec Spec, dumpTo io.Writer, rs *runState) (*RunRe
 	}
 	if rs != nil {
 		rs.name, rs.fingerprint = s.Name, fp
+	}
+	// The streams are taken before anything else can fail, so that the
+	// run takes every entry st counted for it.
+	var all [][]kernel.Task
+	if s.Workload.traceDriven() {
+		if all, err = st.boardTasks(&s); err != nil {
+			return nil, err
+		}
 	}
 	cfg, err := s.config()
 	if err != nil {
@@ -206,7 +213,7 @@ func run(ctx context.Context, spec Spec, dumpTo io.Writer, rs *runState) (*RunRe
 			return nil, err
 		}
 	default:
-		sched, err = attachTraces(m, &s)
+		sched, err = attachTraces(m, &s, all)
 		if err != nil {
 			m.Eng.KillProcesses()
 			return nil, err
@@ -229,117 +236,16 @@ func run(ctx context.Context, spec Spec, dumpTo io.Writer, rs *runState) (*RunRe
 	return res, nil
 }
 
-// boardRefs materializes board i's reference stream for a normalized
-// profile/trace workload spec: per-board seed derivation (seed + 31*i,
-// the vmpsim convention), per-board ASID, and kernel-region slicing
-// unless ShareKernel.
-func boardRefs(s *Spec, i int) ([]trace.Ref, error) {
-	w := s.Workload
-	var refs []trace.Ref
-	switch w.Kind {
-	case WorkloadProfile:
-		r, err := workload.Generate(workload.Profile(w.Profile), s.Seed+uint64(i)*31, w.Refs)
-		if err != nil {
-			return nil, err
-		}
-		refs = r
-	case WorkloadTrace:
-		f, err := os.Open(w.TraceFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		br, err := trace.OpenBinary(f)
-		if err != nil {
-			return nil, err
-		}
-		refs = trace.Collect(br, w.Refs)
-		if err := br.Err(); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("scenario: boardRefs on workload kind %q", w.Kind)
-	}
-	asid := uint8(i + 1)
-	for j := range refs {
-		refs[j].ASID = asid
-		if !w.ShareKernel && refs[j].VAddr >= workload.KernelCodeBase {
-			refs[j].VAddr += uint32(i) << 24
-		}
-	}
-	return refs, nil
-}
-
-// boardTasks builds every board's reference stream on its own goroutine
-// and returns the streams in board order. A board's stream is one task
-// on ASID i+1, or with tasksPer > 0 its boardRefs stream split into
-// tasksPer consecutive tasks, each re-stamped with ASID
-// 1+i*tasksPer+t so boards never share a user space. A stream is a
-// pure function of the spec and the board index, so the result does
-// not depend on scheduling. The goroutines need no bound beyond the
-// board count: the run holds every board's stream until it ends.
-//
-// The lowest-numbered board's failure is reported, as a serial loop
-// would report it: its error is returned, or its panic (such as a
-// reference count too large for a slice) is raised again on the
-// caller's goroutine, where RunGuarded contains it.
-func boardTasks(s *Spec, boards, tasksPer int) ([][]kernel.Task, error) {
-	tasks := make([][]kernel.Task, boards)
-	errs := make([]error, boards)
-	panics := make([]any, boards)
-	var wg sync.WaitGroup
-	for i := range tasks {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { panics[i] = recover() }()
-			refs, err := boardRefs(s, i)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if tasksPer == 0 {
-				tasks[i] = []kernel.Task{{ASID: uint8(i + 1), Refs: refs}}
-				return
-			}
-			tasks[i] = make([]kernel.Task, tasksPer)
-			per := len(refs) / tasksPer
-			for t := range tasks[i] {
-				asid := uint8(1 + i*tasksPer + t)
-				lo, hi := t*per, (t+1)*per
-				if t == tasksPer-1 {
-					hi = len(refs)
-				}
-				part := refs[lo:hi]
-				for j := range part {
-					part[j].ASID = asid
-				}
-				tasks[i][t] = kernel.Task{ASID: asid, Refs: part}
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if panics[i] != nil {
-			panic(panics[i])
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return tasks, nil
-}
-
 // attachTraces attaches a trace-driven CPU (or, with a scheduler spec,
-// a kernel round-robin scheduler over per-task slices) to every board.
-// It returns per-board scheduler stats sinks when scheduling is on.
-// The streams are generated concurrently; prefault and attach then run
-// serially in board order, so frames are allocated in the same order
-// whatever the host's parallelism.
-func attachTraces(m *core.Machine, s *Spec) ([]kernel.SchedStats, error) {
+// a kernel round-robin scheduler over per-task slices) to every board,
+// all[i] being board i's tasks. It returns per-board scheduler stats
+// sinks when scheduling is on. Prefault and attach run serially in
+// board order, so frames are allocated in the same order whatever the
+// host's parallelism.
+func attachTraces(m *core.Machine, s *Spec, all [][]kernel.Task) ([]kernel.SchedStats, error) {
 	var k *kernel.Kernel
 	var pol kernel.SchedPolicy
-	tasksPer := 0
+	tasksPer := s.tasksPer()
 	if ks := s.Kernel; ks != nil {
 		var err error
 		k, err = kernel.New(m, ks.UncachedPages)
@@ -347,7 +253,6 @@ func attachTraces(m *core.Machine, s *Spec) ([]kernel.SchedStats, error) {
 			return nil, err
 		}
 		if ks.Sched != nil {
-			tasksPer = ks.Sched.Tasks
 			pol = kernel.SchedPolicy{
 				Quantum:       ks.Sched.quantum(),
 				SwitchInstr:   ks.Sched.SwitchInstr,
@@ -356,10 +261,6 @@ func attachTraces(m *core.Machine, s *Spec) ([]kernel.SchedStats, error) {
 		}
 	}
 
-	all, err := boardTasks(s, len(m.Boards), tasksPer)
-	if err != nil {
-		return nil, err
-	}
 	stats := make([]kernel.SchedStats, len(m.Boards))
 	for i, tasks := range all {
 		for _, t := range tasks {

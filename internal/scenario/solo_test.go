@@ -50,6 +50,11 @@ func expand(t *testing.T, g *Grid) []Cell {
 // the scheduler's task split, a trace file two cells replay, the
 // seed), a trace file that is missing, and guarded cells whose
 // generation panics beside clean neighbours.
+//
+// A single run shares its stream table's code, so a key that misses a
+// field would make both sides agree on the same wrong stream. Each
+// call must therefore also generate exactly the distinct streams its
+// cells need, counted here by hand, and leave its table empty.
 func TestRunCellsMatchSolo(t *testing.T) {
 	trc := writeTrace(t, "compile.trc", 5000)
 
@@ -105,18 +110,19 @@ func TestRunCellsMatchSolo(t *testing.T) {
 	panics := []Cell{clean[0], huge[0], huge[1], clean[1]}
 
 	cases := []struct {
-		name  string
-		cells []Cell
-		guard bool
+		name    string
+		cells   []Cell
+		guard   bool
+		streams int64 // distinct (board, stream) pairs of the cells
 	}{
-		{"pagesweep", expand(t, pagesweep), false},
-		{"topology", expand(t, topology), false},
-		{"share-kernel", expand(t, shareKernel), false},
-		{"sched", expand(t, sched), false},
-		{"trace-file", expand(t, traceFile), false},
-		{"seeds", expand(t, seeds), false},
-		{"missing-trace", missing, false},
-		{"guarded-panics", panics, true},
+		{"pagesweep", expand(t, pagesweep), false, 2 * 2},      // profile x board
+		{"topology", expand(t, topology), false, 16},           // board
+		{"share-kernel", expand(t, shareKernel), false, 2 * 3}, // share_kernel x board
+		{"sched", expand(t, sched), false, 2 * 2},              // tasks x board
+		{"trace-file", expand(t, traceFile), false, 2},         // board
+		{"seeds", expand(t, seeds), false, 3 * 2},              // seed x board
+		{"missing-trace", missing, false, 2 + 2},               // board, missing file and beside it
+		{"guarded-panics", panics, true, 2 + 2},                // board, huge refs and clean
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -125,9 +131,16 @@ func TestRunCellsMatchSolo(t *testing.T) {
 				want[i], _ = json.Marshal(soloCell(c, tc.guard))
 			}
 			for _, workers := range []int{1, 2, 8} {
-				res, err := RunCells(tc.name, tc.cells, RunOptions{Workers: workers, Guard: tc.guard})
+				st := newStreamTable(tc.cells)
+				res, err := runCells(tc.name, tc.cells, RunOptions{Workers: workers, Guard: tc.guard}, st)
 				if err != nil {
 					t.Fatalf("workers %d: %v", workers, err)
+				}
+				if n := st.generated.Load(); n != tc.streams {
+					t.Errorf("workers %d: %d streams generated, want %d", workers, n, tc.streams)
+				}
+				if len(st.entries) != 0 {
+					t.Errorf("workers %d: %d streams left in the table", workers, len(st.entries))
 				}
 				for i, cr := range res.Cells {
 					got, _ := json.Marshal(cr)

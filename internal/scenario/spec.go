@@ -274,7 +274,7 @@ func (s *Spec) Normalize() error {
 	default:
 		return fmt.Errorf("scenario: unknown workload kind %q", w.Kind)
 	}
-	if w.Refs == 0 && (w.Kind == WorkloadProfile || w.Kind == WorkloadTrace) {
+	if w.Refs == 0 && w.traceDriven() {
 		w.Refs = 200_000
 	}
 	if w.Refs < 0 {
@@ -286,7 +286,7 @@ func (s *Spec) Normalize() error {
 			k.UncachedPages = 1
 		}
 		if sc := k.Sched; sc != nil {
-			if w.Kind != WorkloadProfile && w.Kind != WorkloadTrace {
+			if !w.traceDriven() {
 				return fmt.Errorf("scenario: kernel scheduler requires a profile or trace workload, not %q", w.Kind)
 			}
 			if sc.Tasks == 0 {
@@ -302,10 +302,10 @@ func (s *Spec) Normalize() error {
 	}
 
 	// Without share_kernel, board i's kernel region moves up by i<<24
-	// (boardRefs); past maxPrivateKernelBoards boards the last kernel
-	// stack reaches the page-table space and the run faults.
+	// (streamKey.stream); past maxPrivateKernelBoards boards the last
+	// kernel stack reaches the page-table space and the run faults.
 	const maxPrivateKernelBoards = int((vm.PTSpaceBase-workload.KernelStackTop)>>24) + 1
-	if !w.ShareKernel && (w.Kind == WorkloadProfile || w.Kind == WorkloadTrace) && m.Processors > maxPrivateKernelBoards {
+	if !w.ShareKernel && w.traceDriven() && m.Processors > maxPrivateKernelBoards {
 		return fmt.Errorf("scenario: %d processors with a private kernel region each; at most %d fit below the page-table space (set workload.share_kernel)",
 			m.Processors, maxPrivateKernelBoards)
 	}
@@ -336,6 +336,21 @@ func (s *Spec) Normalize() error {
 	cfg := s.Machine.Config()
 	cfg.Topology = s.topology()
 	return cfg.Validate()
+}
+
+// traceDriven reports whether the workload replays a reference stream
+// on every board: a profile or a trace file.
+func (w *WorkloadSpec) traceDriven() bool {
+	return w.Kind == WorkloadProfile || w.Kind == WorkloadTrace
+}
+
+// tasksPer is the scheduler's task count per board, 0 without a
+// scheduler.
+func (s *Spec) tasksPer() int {
+	if s.Kernel == nil || s.Kernel.Sched == nil {
+		return 0
+	}
+	return s.Kernel.Sched.Tasks
 }
 
 // topology converts the stanza to the bus package's value form (the
@@ -394,6 +409,19 @@ func (s *Spec) config() (core.Config, error) {
 // SchedPolicy converts a SchedSpec to the kernel's policy type.
 func (sc SchedSpec) quantum() sim.Time { return sim.Time(sc.QuantumUS) * sim.Microsecond }
 
+// normalized returns a normalized deep copy of spec, leaving the
+// caller's spec alone.
+func normalized(spec Spec) (Spec, error) {
+	c, err := spec.clone()
+	if err != nil {
+		return Spec{}, err
+	}
+	if err := c.Normalize(); err != nil {
+		return Spec{}, err
+	}
+	return *c, nil
+}
+
 // clone deep-copies the spec (pointer fields included) through its
 // JSON form, so normalizing the copy never mutates the original.
 func (s *Spec) clone() (*Spec, error) {
@@ -413,11 +441,8 @@ func (s *Spec) clone() (*Spec, error) {
 // order. Two specs describing the same run have identical canonical
 // encodings. The receiver is not modified.
 func (s Spec) Canonical() ([]byte, error) {
-	c, err := s.clone()
+	c, err := normalized(s)
 	if err != nil {
-		return nil, err
-	}
-	if err := c.Normalize(); err != nil {
 		return nil, err
 	}
 	return json.Marshal(c)

@@ -14,14 +14,14 @@ import (
 	"vmp/internal/workload"
 )
 
-// serialTasks is the reference for boardTasks: boardRefs for one board
-// after another, then with tasksPer > 0 a copy of each consecutive
+// serialTasks is the reference for boardTasks: each board's stream, one
+// board after another, then with tasksPer > 0 a copy of each consecutive
 // slice re-stamped with ASID 1 + board*tasksPer + task.
 func serialTasks(t *testing.T, s *Spec, boards, tasksPer int) [][]kernel.Task {
 	t.Helper()
 	all := make([][]kernel.Task, boards)
 	for i := range all {
-		refs, err := boardRefs(s, i)
+		refs, err := keyOf(s, i).stream()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestBoardTasksMatchSerial(t *testing.T) {
 		if s.Kernel != nil && s.Kernel.Sched != nil {
 			tasksPer = s.Kernel.Sched.Tasks
 		}
-		got, err := boardTasks(&s, s.Machine.Processors, tasksPer)
+		got, err := newStreamTable([]Cell{{Spec: s}}).boardTasks(&s)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
@@ -147,8 +147,8 @@ func TestBoardTasksMissingTraceFile(t *testing.T) {
 	if err := s.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	_, want := boardRefs(&s, 0)
-	if _, err := boardTasks(&s, 4, 0); err == nil || err.Error() != want.Error() {
+	_, want := keyOf(&s, 0).stream()
+	if _, err := newStreamTable([]Cell{{Spec: s}}).boardTasks(&s); err == nil || err.Error() != want.Error() {
 		t.Fatalf("boardTasks error %v, want board 0's %v", err, want)
 	}
 	if _, err := Run(s); !errors.Is(err, fs.ErrNotExist) {

@@ -65,11 +65,7 @@ func RunGrid(g *Grid, opts RunOptions) (*SweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := RunCells(g.Name, cells, opts)
-	if err != nil {
-		return res, err
-	}
-	return res, nil
+	return RunCells(g.Name, cells, opts)
 }
 
 // RunCells runs an already-expanded cell list, Workers at a time (the
@@ -77,7 +73,17 @@ func RunGrid(g *Grid, opts RunOptions) (*SweepResult, error) {
 // validated itself). When opts.Ctx is cancelled it returns the partial
 // results together with the context's error: completed cells are
 // intact, unfinished ones carry the cancellation in Err.
+//
+// The cells share one stream table: each distinct board stream of the
+// call is generated once, by the first cell that needs it, and shared
+// read-only with the others (DESIGN §11).
 func RunCells(name string, cells []Cell, opts RunOptions) (*SweepResult, error) {
+	return runCells(name, cells, opts, newStreamTable(cells))
+}
+
+// runCells is RunCells taking the cells' streams from st, which must
+// have counted the cells.
+func runCells(name string, cells []Cell, opts RunOptions, st *streamTable) (*SweepResult, error) {
 	res := &SweepResult{Name: name, Cells: make([]CellResult, len(cells))}
 	ctx := opts.Ctx
 	if ctx == nil {
@@ -112,9 +118,9 @@ func RunCells(name string, cells []Cell, opts RunOptions) (*SweepResult, error) 
 				var rr *RunResult
 				var err error
 				if opts.Guard {
-					rr, err = RunGuarded(ctx, cells[i].Spec)
+					rr, err = runGuarded(ctx, cells[i].Spec, st)
 				} else {
-					rr, err = RunCtx(ctx, cells[i].Spec)
+					rr, err = run(ctx, cells[i].Spec, st, nil, nil)
 				}
 				if err != nil {
 					cr.Err = err.Error()
