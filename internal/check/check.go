@@ -101,7 +101,42 @@ type BoardView interface {
 // shadowFrame is the watchdog's bus-derived role record for one frame.
 type shadowFrame struct {
 	owner   int // board ID, or -1
-	sharers map[int]bool
+	sharers boardSet
+}
+
+// boardSet is a set of board IDs, one bit per ID. Board IDs have no
+// upper bound, so it grows a word at a time past 64.
+type boardSet []uint64
+
+func (b *boardSet) add(id int) {
+	for len(*b) <= id/64 {
+		*b = append(*b, 0)
+	}
+	(*b)[id/64] |= 1 << (id % 64)
+}
+
+func (b boardSet) remove(id int) {
+	if id/64 < len(b) {
+		b[id/64] &^= 1 << (id % 64)
+	}
+}
+
+func (b boardSet) has(id int) bool {
+	return id/64 < len(b) && b[id/64]&(1<<(id%64)) != 0
+}
+
+// hasOther reports whether the set holds a board other than id, which
+// may be bus.NoRequester.
+func (b boardSet) hasOther(id int) bool {
+	for w, bits := range b {
+		if id >= 0 && w == id/64 {
+			bits &^= 1 << (id % 64)
+		}
+		if bits != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Watchdog validates protocol invariants online. Create with New; it is
@@ -190,7 +225,7 @@ func (w *Watchdog) corrupt(format string, args ...interface{}) {
 func (w *Watchdog) frame(f uint32) *shadowFrame {
 	sf := w.frames[f]
 	if sf == nil {
-		sf = &shadowFrame{owner: -1, sharers: make(map[int]bool)}
+		sf = &shadowFrame{owner: -1}
 		w.frames[f] = sf
 	}
 	return sf
@@ -230,7 +265,7 @@ func (w *Watchdog) OnTransaction(tx bus.Transaction, res bus.Result) {
 			}
 		}
 		if tx.Requester != bus.NoRequester {
-			sf.sharers[tx.Requester] = true
+			sf.sharers.add(tx.Requester)
 		}
 	case bus.ReadExclusive:
 		if res.SharedSeen {
@@ -245,7 +280,7 @@ func (w *Watchdog) OnTransaction(tx bus.Transaction, res bus.Result) {
 				sf.owner = -1
 			}
 			if tx.Requester != bus.NoRequester {
-				sf.sharers[tx.Requester] = true
+				sf.sharers.add(tx.Requester)
 			}
 		} else {
 			// Exclusive-clean grant: legal only when nobody else is on
@@ -256,19 +291,13 @@ func (w *Watchdog) OnTransaction(tx bus.Transaction, res bus.Result) {
 				w.violate("read-exclusive of frame %d by board %d granted exclusive while board %d owns it",
 					f, tx.Requester, sf.owner)
 			}
-			foreignSharer := false
-			for s := range sf.sharers {
-				if s != tx.Requester {
-					foreignSharer = true
-				}
-			}
-			if foreignSharer {
+			if sf.sharers.hasOther(tx.Requester) {
 				w.corrupt("read-exclusive of frame %d by board %d granted exclusive despite foreign sharers on record",
 					f, tx.Requester)
 			}
 			if tx.Requester != bus.NoRequester {
 				sf.owner = tx.Requester
-				delete(sf.sharers, tx.Requester)
+				sf.sharers.remove(tx.Requester)
 			}
 		}
 	case bus.ReadPrivate, bus.AssertOwnership:
@@ -278,7 +307,7 @@ func (w *Watchdog) OnTransaction(tx bus.Transaction, res bus.Result) {
 		}
 		if tx.Requester != bus.NoRequester {
 			sf.owner = tx.Requester
-			delete(sf.sharers, tx.Requester)
+			sf.sharers.remove(tx.Requester)
 		}
 	case bus.WriteBack:
 		// Only the owner may write main memory: the guard that keeps the
@@ -293,9 +322,9 @@ func (w *Watchdog) OnTransaction(tx bus.Transaction, res bus.Result) {
 		}
 		if tx.Requester != bus.NoRequester {
 			if tx.Downgrade {
-				sf.sharers[tx.Requester] = true
+				sf.sharers.add(tx.Requester)
 			} else {
-				delete(sf.sharers, tx.Requester)
+				sf.sharers.remove(tx.Requester)
 			}
 		}
 	case bus.WriteActionTable:
@@ -307,15 +336,15 @@ func (w *Watchdog) OnTransaction(tx bus.Transaction, res bus.Result) {
 			if sf.owner == tx.Requester {
 				sf.owner = -1
 			}
-			delete(sf.sharers, tx.Requester)
+			sf.sharers.remove(tx.Requester)
 		case monitor.Shared:
 			if sf.owner == tx.Requester {
 				sf.owner = -1
 			}
-			sf.sharers[tx.Requester] = true
+			sf.sharers.add(tx.Requester)
 		case monitor.Private:
 			sf.owner = tx.Requester
-			delete(sf.sharers, tx.Requester)
+			sf.sharers.remove(tx.Requester)
 		}
 	}
 }
@@ -333,15 +362,8 @@ func (w *Watchdog) observeAbort(tx bus.Transaction, res bus.Result, f uint32) {
 		// Legal only from a stale Shared entry (or a competing owner's
 		// Private entry, itself a violation caught on the success path):
 		// some foreign board must hold a shadow role on the frame.
-		if sf != nil {
-			for s := range sf.sharers {
-				if s != tx.Requester {
-					return
-				}
-			}
-			if sf.owner != -1 && sf.owner != tx.Requester {
-				return
-			}
+		if sf != nil && (sf.sharers.hasOther(tx.Requester) || sf.owner != -1 && sf.owner != tx.Requester) {
+			return
 		}
 		w.phantomAb++
 		w.corrupt("write-back of frame %d by board %d aborted with no stale sharer on record",
@@ -396,7 +418,7 @@ func (w *Watchdog) FinalSweep() {
 			}
 			switch act {
 			case monitor.Shared:
-				if sf := w.frames[f]; sf == nil || !sf.sharers[id] {
+				if sf := w.frames[f]; sf == nil || !sf.sharers.has(id) {
 					w.corrupt("board %d: phantom shared entry for frame %d", id, f)
 					w.repair(v, f, monitor.Ignore)
 				}

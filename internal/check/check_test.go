@@ -319,3 +319,44 @@ func TestWriteActionTableShadow(t *testing.T) {
 	w2.OnTransaction(tx(bus.ReadPrivate, 16, 1), bus.Result{})
 	mustClean(t, w2)
 }
+
+// TestSharersPastSixtyFourBoards checks the shadow's sharer set on
+// board IDs beyond one 64-bit word, and against the DMA requester:
+// board 70's and board 130's shared copies are foreign to other boards
+// and to DMA, but never to themselves.
+func TestSharersPastSixtyFourBoards(t *testing.T) {
+	w, rec := newWatch()
+	w.OnTransaction(tx(bus.ReadShared, 9, 70), bus.Result{})
+	// Board 70's own copy is no cause for aborting its write-back...
+	w.OnTransaction(tx(bus.WriteBack, 9, 70), bus.Result{Aborted: true})
+	// ...but it is for board 6's, though 70 and 6 are the same bit of
+	// different words.
+	w.OnTransaction(tx(bus.WriteBack, 9, 6), bus.Result{Aborted: true})
+	// Board 70 alone may take the frame exclusive, which ends its
+	// sharer role.
+	w.OnTransaction(tx(bus.ReadExclusive, 9, 70), bus.Result{})
+	// A DMA exclusive grant over board 130's copy lost an assertion.
+	w.OnTransaction(tx(bus.ReadShared, 10, 130), bus.Result{})
+	w.OnTransaction(tx(bus.ReadExclusive, 10, bus.NoRequester), bus.Result{})
+
+	v70, v130 := newView(70), newView(130)
+	v70.actions[9] = monitor.Shared   // no longer on record
+	v130.actions[10] = monitor.Shared // still on record
+	w.Attach(v70)
+	w.Attach(v130)
+	w.FinalSweep()
+
+	v := w.Violations()
+	want := []string{"no stale sharer", "foreign sharers", "board 70: phantom shared entry for frame 9"}
+	if len(v) != len(want) {
+		t.Fatalf("violations = %v, want %d", v, len(want))
+	}
+	for i, s := range want {
+		if !strings.Contains(v[i], s) {
+			t.Errorf("violation %d = %q, want mention of %q", i, v[i], s)
+		}
+	}
+	if got := rec.Value("check/phantom-aborts"); got != 1 {
+		t.Errorf("phantom-aborts = %d, want 1", got)
+	}
+}
