@@ -65,7 +65,11 @@ func RunGrid(g *Grid, opts RunOptions) (*SweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return RunCells(g.Name, cells, opts)
+	res, err := RunCells(g.Name, cells, opts)
+	if err != nil {
+		return res, err
+	}
+	return res, nil
 }
 
 // RunCells runs an already-expanded cell list, Workers at a time (the
@@ -76,7 +80,7 @@ func RunGrid(g *Grid, opts RunOptions) (*SweepResult, error) {
 //
 // The cells share one stream table: each distinct board stream of the
 // call is generated once, by the first cell that needs it, and shared
-// read-only with the others (DESIGN §11).
+// read-only with the others (see DESIGN.md).
 func RunCells(name string, cells []Cell, opts RunOptions) (*SweepResult, error) {
 	return runCells(name, cells, opts, newStreamTable(cells))
 }
