@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"vmp/internal/fault"
 	"vmp/internal/scenario"
 )
 
@@ -18,16 +19,25 @@ var update = flag.Bool("update", false, "rewrite testdata/event_goldens.txt from
 // eventGoldens holds one line per cell: its name, the digest of its
 // event stream and a hash of its summary and violations — or, for a
 // cell that is meant to fail, its error text. After the cells come the
-// experiments' machines, one "exp:" line each (experimentLines).
+// experiments' machines, one "exp:" line each, and then the same
+// machines under goldenFaults, one "expf:" line each
+// (experimentLines).
 const eventGoldens = "testdata/event_goldens.txt"
+
+// goldenFaults is the run-level fault plan of the "expf:" lines. The
+// whole registry survives it at quick options.
+const goldenFaults = "abort=0.01,copy=0.05"
 
 // TestEventGoldens pins the event order of every cell of goldenGrids
 // (quick options), of every cell of the committed scenarios/*.json and
 // of every machine the registered experiments build at quick options,
-// each run with the full event stream retained. A rewrite of the
-// substrate (engine, interconnect) must leave every line unchanged.
-// livelock-demo.json is meant to fail, so its error text is pinned
-// instead. Run with -update to rewrite the goldens.
+// each run with the full event stream retained. The experiments run
+// twice: as they are, and with goldenFaults and Check set, which pins
+// that the run-level fault plan reaches each machine at the
+// experiment's seed. A rewrite of the substrate (engine, interconnect)
+// must leave every line unchanged. livelock-demo.json is meant to
+// fail, so its error text is pinned instead. Run with -update to
+// rewrite the goldens.
 func TestEventGoldens(t *testing.T) {
 	o := DefaultOptions()
 	o.Quick = true
@@ -68,7 +78,13 @@ func TestEventGoldens(t *testing.T) {
 		}
 		lines = append(lines, goldenLine(c))
 	}
-	lines = append(lines, experimentLines(t, o)...)
+	lines = append(lines, experimentLines(t, o, "exp")...)
+	fo := o
+	fo.Check = true
+	if fo.Faults, err = fault.Parse(goldenFaults); err != nil {
+		t.Fatal(err)
+	}
+	lines = append(lines, experimentLines(t, fo, "expf")...)
 	got := strings.Join(lines, "\n") + "\n"
 	if *update {
 		if err := os.WriteFile(eventGoldens, []byte(got), 0o644); err != nil {
@@ -100,10 +116,10 @@ var noMachineLine = map[string]bool{"fig1": true, "fig2": true, "fig4": true, "a
 // runOne with its derived seed, with each machine's event stream
 // retained. It renders one line per machine whose sink emitted events,
 // in the order the experiment built its machines (k):
-// "exp:<id>#<k> <event digest> <events fired>". A bare engine
+// "<prefix>:<id>#<k> <event digest> <events fired>". A bare engine
 // (Options.engine, no sink) pins its events fired and final simulated
-// time instead: "exp:<id>#<k> engine <events fired> <ns>".
-func experimentLines(t *testing.T, o Options) []string {
+// time instead: "<prefix>:<id>#<k> engine <events fired> <ns>".
+func experimentLines(t *testing.T, o Options, prefix string) []string {
 	var lines []string
 	for _, e := range All() {
 		tr := &engineTrack{stream: true}
@@ -113,7 +129,7 @@ func experimentLines(t *testing.T, o Options) []string {
 		}
 		n := 0
 		for k, r := range tr.done {
-			name := fmt.Sprintf("exp:%s#%d", e.ID, k)
+			name := fmt.Sprintf("%s:%s#%d", prefix, e.ID, k)
 			fired := r.metrics.EventsFired
 			switch {
 			case r.bare:
