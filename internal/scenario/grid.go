@@ -66,9 +66,10 @@ func (g *Grid) Expand() ([]Cell, error) {
 	}
 
 	// Work in the spec's generic JSON form so any serializable field is
-	// addressable by path, present in the base or not. This is the
-	// sanctioned canonicalization path: the untyped document always
-	// round-trips through ParseSpec (DisallowUnknownFields) below.
+	// addressable by path, present in the base or not. The untyped
+	// document keeps every number as its literal (decodeExact) and
+	// always round-trips through ParseSpec (DisallowUnknownFields)
+	// below.
 	baseJSON, err := json.Marshal(g.Base)
 	if err != nil {
 		return nil, err
@@ -81,9 +82,9 @@ func (g *Grid) Expand() ([]Cell, error) {
 	idx := make([]int, len(g.Axes))
 	cells := make([]Cell, 0, total)
 	for n := 0; n < total; n++ {
-		//vmplint:allow canonjson sanctioned dotted-path overlay; the doc round-trips through ParseSpec which rejects unknown fields
+		//vmplint:allow canonjson decodeExact keeps each number's digits, and ParseSpec rejects a key the doc gains that Spec lacks
 		var doc map[string]any
-		if err := json.Unmarshal(baseJSON, &doc); err != nil {
+		if err := decodeExact(baseJSON, &doc); err != nil {
 			return nil, err
 		}
 		var parts []string
@@ -132,20 +133,20 @@ func (g *Grid) Expand() ([]Cell, error) {
 // intermediate objects as needed, and sets the final key to the raw
 // value.
 //
-//vmplint:allow canonjson sanctioned dotted-path overlay; callers re-validate through ParseSpec
+//vmplint:allow canonjson doc comes from decodeExact, and Expand passes the result through ParseSpec
 func setPath(doc map[string]any, path string, raw json.RawMessage) error {
 	keys := strings.Split(path, ".")
 	cur := doc
 	for _, k := range keys[:len(keys)-1] {
 		next, ok := cur[k]
 		if !ok || next == nil {
-			//vmplint:allow canonjson sanctioned dotted-path overlay; callers re-validate through ParseSpec
+			//vmplint:allow canonjson a new object holds only the path's keys, and ParseSpec rejects one that names no field
 			child := map[string]any{}
 			cur[k] = child
 			cur = child
 			continue
 		}
-		//vmplint:allow canonjson sanctioned dotted-path overlay; callers re-validate through ParseSpec
+		//vmplint:allow canonjson an object of a decodeExact document, whose numbers keep their digits
 		child, ok := next.(map[string]any)
 		if !ok {
 			return fmt.Errorf("path element %q is not an object", k)
@@ -153,11 +154,23 @@ func setPath(doc map[string]any, path string, raw json.RawMessage) error {
 		cur = child
 	}
 	var v any
-	if err := json.Unmarshal(raw, &v); err != nil {
+	if err := decodeExact(raw, &v); err != nil {
 		return fmt.Errorf("bad value %s: %w", raw, err)
 	}
 	cur[keys[len(keys)-1]] = v
 	return nil
+}
+
+// decodeExact decodes the one JSON value in data into v, keeping each
+// number as its literal (json.Number): a float64 would round integers
+// past 2^53, such as a seed, and fail to hold 2^64-1.
+func decodeExact(data []byte, v any) error {
+	if !json.Valid(data) {
+		return fmt.Errorf("not one JSON value")
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	return dec.Decode(v)
 }
 
 // compactValue renders an axis value for a cell name: strings lose

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -49,6 +50,47 @@ func TestGridExpand(t *testing.T) {
 		}
 		if c.Spec.Seed != 11 {
 			t.Errorf("cell %d not normalized: seed %d", i, c.Spec.Seed)
+		}
+	}
+}
+
+// TestGridExactIntegers checks that expansion keeps 64-bit integers
+// exact: a base seed and seed-axis values of 2^53+1 and 2^64-1, which a
+// float64 rounds, reach their cells unchanged, and each cell
+// fingerprints as the same spec built directly.
+func TestGridExactIntegers(t *testing.T) {
+	wide := []uint64{1<<53 + 1, math.MaxUint64}
+	base := Spec{Workload: WorkloadSpec{Refs: 1000}}
+	grids := []*Grid{{Name: "axis", Base: base, Axes: []Axis{{Path: "seed", Values: Values(wide[0], wide[1])}}}}
+	for _, seed := range wide {
+		g := &Grid{Name: "base", Base: base}
+		g.Base.Seed = seed
+		grids = append(grids, g)
+	}
+	want := []uint64{wide[0], wide[1], wide[0], wide[1]}
+	var cells []Cell
+	for _, g := range grids {
+		cs, err := g.Expand()
+		if err != nil {
+			t.Fatalf("%s: %v", g.Name, err)
+		}
+		cells = append(cells, cs...)
+	}
+	if len(cells) != len(want) {
+		t.Fatalf("expanded %d cells, want %d", len(cells), len(want))
+	}
+	for i, c := range cells {
+		if c.Spec.Seed != want[i] {
+			t.Errorf("cell %q: seed %d, want %d", c.Name, c.Spec.Seed, want[i])
+		}
+		direct := base
+		direct.Name, direct.Seed = c.Name, want[i]
+		got, err := c.Spec.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp, err := direct.Fingerprint(); err != nil || got != fp {
+			t.Errorf("cell %q: fingerprint %s, the spec built directly %s (%v)", c.Name, got, fp, err)
 		}
 	}
 }
