@@ -246,13 +246,26 @@ func Run(id string, o Options) (*Result, error) {
 // result. It is the single execution path shared by Run, RunAll and the
 // event goldens, so an experiment behaves identically however it is
 // invoked.
-func runOne(e *Experiment, o Options, track *engineTrack) (*Result, error) {
+//
+// A simulator fault (a livelock's retry hard limit, a protocol
+// assertion) panics out of the runner. runOne returns it as the
+// experiment's error and ends the processes of the tracker's live
+// engine, the machine that faulted, so one faulty experiment neither
+// ends the process nor leaves coroutines behind.
+func runOne(e *Experiment, o Options, track *engineTrack) (res *Result, err error) {
 	ro := o
 	ro.Seed = seedFor(o.Seed, e.ID)
 	ro.track = track
+	defer func() {
+		if r := recover(); r != nil {
+			if track.live != nil {
+				track.live.KillProcesses()
+			}
+			res, err = nil, fmt.Errorf("%s: simulator fault: %v", e.ID, r)
+		}
+	}()
 	start := time.Now()
-	res, err := e.Run(ro)
-	if err != nil {
+	if res, err = e.Run(ro); err != nil {
 		return nil, fmt.Errorf("%s: %w", e.ID, err)
 	}
 	res.Metrics = ro.track.metrics(time.Since(start))

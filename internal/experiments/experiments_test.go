@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"os"
 	"strings"
 	"testing"
+
+	"vmp/internal/fault"
 )
 
 func TestIDsAndDescribeAgree(t *testing.T) {
@@ -88,5 +91,43 @@ func TestExperimentsDeterministic(t *testing.T) {
 				t.Errorf("nondeterministic output for %s", id)
 			}
 		})
+	}
+}
+
+// TestRunOneContainsSimulatorFault checks that a simulator fault
+// becomes its experiment's error. At abort=0.02 the locks ablation's
+// two-board spin lock reaches the retry hard limit, the designed
+// livelock fault, which panics. runOne must name the experiment and
+// the livelock, end the faulted machine's processes, and leave the
+// flight recorder's dump on stderr, where the sink writes it.
+func TestRunOneContainsSimulatorFault(t *testing.T) {
+	o := DefaultOptions()
+	o.Quick = true
+	var err error
+	if o.Faults, err = fault.Parse("abort=0.02"); err != nil {
+		t.Fatal(err)
+	}
+	e, _ := Lookup("locks")
+	stderr, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = stderr
+	tr := &engineTrack{}
+	res, err := runOne(e, o, tr)
+	os.Stderr = saved
+	if err == nil || !strings.HasPrefix(err.Error(), "locks: simulator fault: ") || !strings.Contains(err.Error(), "livelocked") {
+		t.Fatalf("runOne = %v, %v; want the locks livelock as an error", res, err)
+	}
+	if n := tr.live.Live(); n != 0 {
+		t.Errorf("%d processes of the faulted machine still live", n)
+	}
+	dump, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(dump), "FLIGHT RECORDER DUMP: livelock") {
+		t.Errorf("no flight-recorder dump on stderr:\n%.500s", dump)
 	}
 }
