@@ -189,22 +189,9 @@ func vmpTxCount(s bus.Stats) uint64 {
 // runVMPStreams replays per-processor streams on a full VMP machine and
 // returns the bus statistics.
 func runVMPStreams(o Options, streams [][]trace.Ref) (bus.Stats, error) {
-	m, err := o.newMachine(len(streams), 64<<10)
+	m, err := o.replay(machineSpec(len(streams), 64<<10).Config(), streams)
 	if err != nil {
 		return bus.Stats{}, err
-	}
-	m.EnsureSpace(1)
-	for _, s := range streams {
-		if err := m.PrefaultTrace(s); err != nil {
-			return bus.Stats{}, err
-		}
-	}
-	for i, s := range streams {
-		m.RunTrace(i, trace.NewSliceSource(s))
-	}
-	m.Run()
-	if v := m.CheckInvariants(); len(v) != 0 {
-		return bus.Stats{}, fmt.Errorf("invariants: %v", v)
 	}
 	return m.Bus.Stats(), nil
 }
@@ -318,48 +305,22 @@ func AblationReadPrivate(o Options) (*Result, error) {
 // traces, measuring per-processor performance and bus utilization —
 // the Section 5.3 question of how many processors one bus carries.
 func AblationScaling(o Options) (*Result, error) {
-	// Processor counts and per-board trace length come from the
-	// experiment's grid.
-	g := scalingGrid(o)
-	refsPer := g.Base.Workload.Refs
+	cells, err := scalingGrid(o).Expand()
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable("Scaling: independent workloads on one bus",
 		"Processors", "Bus Utilization (%)", "Mean Performance", "Relative to 1 CPU")
 	var base float64
 	var xs, ys []float64
-	for _, n := range g.IntAxis("machine.processors") {
-		m, err := o.newMachine(n, g.Base.Machine.CacheSize)
+	for _, c := range cells {
+		m, err := o.run(c.Spec)
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < n; i++ {
-			asid := uint8(i + 1)
-			refs, err := workload.Generate(workload.Edit, o.Seed+uint64(i)*31, refsPer)
-			if err != nil {
-				return nil, err
-			}
-			// Each processor gets its own address space (independent
-			// jobs): remap the trace's ASID, and give each CPU a
-			// private slice of the kernel region (per-CPU kernel
-			// stacks and data — otherwise every CPU write-shares the
-			// same physical kernel frames, which is not the
-			// independent-workload question Section 5.3 asks).
-			for j := range refs {
-				refs[j].ASID = asid
-				if refs[j].VAddr >= workload.KernelCodeBase {
-					refs[j].VAddr += uint32(i) << 24
-				}
-			}
-			if err := m.PrefaultTrace(refs); err != nil {
-				return nil, err
-			}
-			m.RunTrace(i, trace.NewSliceSource(refs))
-		}
-		m.Run()
-		if v := m.CheckInvariants(); len(v) != 0 {
-			return nil, fmt.Errorf("invariants: %v", v)
-		}
+		n := len(m.Boards)
 		perf := 0.0
-		for i := 0; i < n; i++ {
+		for i := range m.Boards {
 			perf += m.Performance(i)
 		}
 		perf /= float64(n)
@@ -396,46 +357,26 @@ func AblationTopology(o Options) (*Result, error) {
 	g := topologyGrid(o)
 	refsPer := g.Base.Workload.Refs
 	boards := g.Base.Machine.Processors
+	// Independent jobs, as in AblationScaling: own address space per
+	// board, private kernel-region slice. The slice stride is 2 MB (not
+	// scaling's 16 MB) so 64 slices fit between the kernel code and data
+	// bases without wrapping. Every machine replays the same streams;
+	// a machine only reads them.
+	streams, err := editStreams(o.Seed, boards, refsPer, 21)
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable("Hierarchical interconnect: 64 boards, independent edit traces",
 		"Buses", "Boards/Bus", "Miss Ratio (%)", "Bus Util (%)", "Model Util (%)",
 		"Link Crossings", "Filtered Local (%)", "Mean Perf")
 	var xs, measured, modeled []float64
 	for _, buses := range g.IntAxis("topology.buses") {
 		perBus := (boards + buses - 1) / buses
-		cfg := core.Config{
-			Processors: boards,
-			Cache:      cache.Geometry(g.Base.Machine.CacheSize, g.Base.Machine.PageSize, g.Base.Machine.Assoc),
-			MemorySize: g.Base.Machine.MemorySize,
-			Topology:   bus.Topology{Buses: buses},
-		}
-		m, err := o.machine(cfg)
+		cfg := g.Base.Machine.Config()
+		cfg.Topology = bus.Topology{Buses: buses}
+		m, err := o.replay(cfg, streams)
 		if err != nil {
 			return nil, err
-		}
-		for i := 0; i < boards; i++ {
-			asid := uint8(i + 1)
-			refs, err := workload.Generate(workload.Edit, o.Seed+uint64(i)*31, refsPer)
-			if err != nil {
-				return nil, err
-			}
-			// Independent jobs, as in AblationScaling: own address
-			// space per board, private kernel-region slice. The slice
-			// stride is 2 MB (not scaling's 16 MB) so 64 slices fit
-			// between the kernel code and data bases without wrapping.
-			for j := range refs {
-				refs[j].ASID = asid
-				if refs[j].VAddr >= workload.KernelCodeBase {
-					refs[j].VAddr += uint32(i) << 21
-				}
-			}
-			if err := m.PrefaultTrace(refs); err != nil {
-				return nil, err
-			}
-			m.RunTrace(i, trace.NewSliceSource(refs))
-		}
-		m.Run()
-		if v := m.CheckInvariants(); len(v) != 0 {
-			return nil, fmt.Errorf("invariants: %v", v)
 		}
 
 		cs, _ := m.TotalStats()

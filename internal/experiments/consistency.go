@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"vmp/internal/sim"
 	"vmp/internal/stats"
 	"vmp/internal/trace"
@@ -23,45 +21,16 @@ func AblationConsistency(o Options) (*Result, error) {
 		refsPer = 25_000
 	}
 	const procs = 4
-	// The shared region lives in the kernel virtual region, whose
-	// translation is common to all address spaces — so all four
-	// processors reach the same physical frames (user addresses would
-	// be private to each ASID).
-	const sharedBase = 0xd800_0000
-	const sharedPages = 16 // 4 KB of contended data
 
 	run := func(sharePct int) (missRatio, perf float64, intr uint64, err error) {
-		m, err := o.newMachine(procs, 128<<10)
+		streams, err := editStreams(o.Seed, procs, refsPer, 24)
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		for i := 0; i < procs; i++ {
-			asid := uint8(i + 1)
-			refs, err := workload.Generate(workload.Edit, o.Seed+uint64(i)*31, refsPer)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			rnd := sim.NewRand(o.Seed*99 + uint64(i))
-			for j := range refs {
-				refs[j].ASID = asid
-				if refs[j].VAddr >= workload.KernelCodeBase {
-					refs[j].VAddr += uint32(i) << 24
-				}
-				// Redirect a fraction of data references to the shared
-				// region (reads and writes alike).
-				if refs[j].Kind != trace.IFetch && rnd.Intn(100) < sharePct {
-					refs[j].VAddr = sharedBase + uint32(rnd.Intn(sharedPages*64))*4
-					refs[j].Super = true // kernel-region access
-				}
-			}
-			if err := m.PrefaultTrace(refs); err != nil {
-				return 0, 0, 0, err
-			}
-			m.RunTrace(i, trace.NewSliceSource(refs))
-		}
-		m.Run()
-		if v := m.CheckInvariants(); len(v) != 0 {
-			return 0, 0, 0, fmt.Errorf("invariants: %v", v)
+		shareRefs(streams, o.Seed*99, sharePct, 16) // 4 KB of contended data
+		m, err := o.replay(machineSpec(procs, 128<<10).Config(), streams)
+		if err != nil {
+			return 0, 0, 0, err
 		}
 		var fills, refs, words uint64
 		var perfSum float64
@@ -76,17 +45,12 @@ func AblationConsistency(o Options) (*Result, error) {
 
 	t := stats.NewTable("Consistency overhead as effective miss-ratio inflation (4 CPUs)",
 		"Shared Data Refs (%)", "Effective Miss Ratio (%)", "Consistency Interrupts", "Mean Performance")
-	var base float64
 	for _, pct := range []int{0, 1, 2, 5} {
 		mr, perf, words, err := run(pct)
 		if err != nil {
 			return nil, err
 		}
-		if pct == 0 {
-			base = mr
-		}
 		t.Add(pct, 100*mr, words, perf)
-		_ = base
 	}
 	t.Note = "sharing inflates the fill rate exactly as the paper's 'hypothesize a higher miss ratio' suggests"
 	return &Result{
@@ -96,4 +60,46 @@ func AblationConsistency(o Options) (*Result, error) {
 		PaperNote: "Section 5: \"consistency overhead can be incorporated in these performance " +
 			"estimates by hypothesizing a higher miss ratio than that suggested by the simulations\"",
 	}, nil
+}
+
+// sharedBase is the shared region of consistency and misscost. It lives
+// in the kernel virtual region, whose translation is common to all
+// address spaces, so every processor reaches the same physical frames
+// (user addresses would be private to each ASID).
+const sharedBase = 0xd800_0000
+
+// editStreams generates n independent edit streams as a profile
+// workload's boards get theirs (seed + 31·i, ASID i+1), with board i's
+// kernel region moved up by i<<shift.
+func editStreams(seed uint64, n, refs int, shift uint) ([][]trace.Ref, error) {
+	streams := make([][]trace.Ref, n)
+	for i := range streams {
+		s, err := workload.Generate(workload.Edit, seed+uint64(i)*31, refs)
+		if err != nil {
+			return nil, err
+		}
+		for j := range s {
+			s[j].ASID = uint8(i + 1)
+			if s[j].VAddr >= workload.KernelCodeBase {
+				s[j].VAddr += uint32(i) << shift
+			}
+		}
+		streams[i] = s
+	}
+	return streams, nil
+}
+
+// shareRefs redirects about pct% of each stream's data references,
+// reads and writes alike, to random words of the first pages pages of
+// sharedBase, drawing stream i's choices from sim.NewRand(mix+i).
+func shareRefs(streams [][]trace.Ref, mix uint64, pct, pages int) {
+	for i, s := range streams {
+		rnd := sim.NewRand(mix + uint64(i))
+		for j := range s {
+			if s[j].Kind != trace.IFetch && rnd.Intn(100) < pct {
+				s[j].VAddr = sharedBase + uint32(rnd.Intn(pages*64))*4
+				s[j].Super = true // kernel-region access
+			}
+		}
+	}
 }

@@ -71,15 +71,7 @@ func Figure3(o Options) (*Result, error) {
 // given ratio (a hot page for hits, a conflict ring for guaranteed
 // misses) and returns the measured normalized performance.
 func measureControlledPerformance(o Options, missRatio float64) (float64, error) {
-	cfg := core.Config{
-		Processors: 1,
-		Cache:      cache.Geometry(128<<10, 256, 4),
-		MemorySize: 8 << 20,
-	}
-	m, err := o.machine(cfg)
-	if err != nil {
-		return 0, err
-	}
+	cfg := machineSpec(1, 128<<10).Config()
 	// A ring of assoc+4 pages mapping to one cache row always misses.
 	rowStride := uint32(cfg.Cache.PageSize * cfg.Cache.Rows)
 	ringBase := uint32(0x40_0000)
@@ -101,13 +93,9 @@ func measureControlledPerformance(o Options, missRatio float64) (float64, error)
 			refs = append(refs, trace.Ref{Kind: trace.Read, ASID: 1, VAddr: hot + uint32(i%64)*4})
 		}
 	}
-	if err := m.PrefaultTrace(refs); err != nil {
+	m, err := o.replay(cfg, [][]trace.Ref{refs})
+	if err != nil {
 		return 0, err
-	}
-	m.RunTrace(0, trace.NewSliceSource(refs))
-	m.Run()
-	if v := m.CheckInvariants(); len(v) != 0 {
-		return 0, fmt.Errorf("invariants: %v", v)
 	}
 	return m.Performance(0), nil
 }
@@ -235,27 +223,10 @@ func Figure5(o Options) (*Result, error) {
 // measureTraceUtilization runs one trace-driven processor and returns
 // its measured bus utilization and fill-based miss ratio.
 func measureTraceUtilization(o Options) (util, missRatio float64, err error) {
-	m, err := o.machine(core.Config{
-		Processors: 1,
-		Cache:      cache.Geometry(128<<10, 256, 4),
-		MemorySize: 8 << 20,
-	})
+	m, err := o.run(editSpec(1, o.traceLen()))
 	if err != nil {
 		return 0, 0, err
 	}
-	refs, err := workload.Generate(workload.Edit, o.Seed, o.traceLen())
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := m.PrefaultTrace(refs); err != nil {
-		return 0, 0, err
-	}
-	m.RunTrace(0, trace.NewSliceSource(refs))
-	m.Run()
-	if v := m.CheckInvariants(); len(v) != 0 {
-		return 0, 0, fmt.Errorf("invariants: %v", v)
-	}
-	cs := m.Boards[0].Cache.Stats()
-	missRatio = float64(cs.Fills) / float64(len(refs))
-	return m.Bus.Utilization(), missRatio, nil
+	fills := m.Boards[0].Cache.Stats().Fills
+	return m.Bus.Utilization(), float64(fills) / float64(o.traceLen()), nil
 }

@@ -6,9 +6,6 @@ import (
 	"vmp/internal/cache"
 	"vmp/internal/core"
 	"vmp/internal/obs"
-	"vmp/internal/sim"
-	"vmp/internal/trace"
-	"vmp/internal/workload"
 )
 
 // MissCost measures the Table-2-style miss-cost breakdown from the
@@ -27,45 +24,19 @@ func MissCost(o Options) (*Result, error) {
 		refsPer = 15_000
 	}
 	const procs = 4
-	// Shared data lives in the kernel virtual region (common to every
-	// address space) so all four processors contend for the same frames.
-	const sharedBase = 0xd800_0000
-	const sharedPages = 8
-
-	m, err := o.machine(core.Config{
+	streams, err := editStreams(o.Seed, procs, refsPer, 24)
+	if err != nil {
+		return nil, err
+	}
+	shareRefs(streams, o.Seed*77, 2, 8)
+	m, err := o.replay(core.Config{
 		Processors: procs,
 		Cache:      cache.Geometry(128<<10, 256, 4),
 		MemorySize: 8 << 20,
 		Obs:        &obs.Config{Stream: true},
-	})
+	}, streams)
 	if err != nil {
 		return nil, err
-	}
-	for i := 0; i < procs; i++ {
-		asid := uint8(i + 1)
-		refs, err := workload.Generate(workload.Edit, o.Seed+uint64(i)*31, refsPer)
-		if err != nil {
-			return nil, err
-		}
-		rnd := sim.NewRand(o.Seed*77 + uint64(i))
-		for j := range refs {
-			refs[j].ASID = asid
-			if refs[j].VAddr >= workload.KernelCodeBase {
-				refs[j].VAddr += uint32(i) << 24
-			}
-			if refs[j].Kind != trace.IFetch && rnd.Intn(100) < 2 {
-				refs[j].VAddr = sharedBase + uint32(rnd.Intn(sharedPages*64))*4
-				refs[j].Super = true
-			}
-		}
-		if err := m.PrefaultTrace(refs); err != nil {
-			return nil, err
-		}
-		m.RunTrace(i, trace.NewSliceSource(refs))
-	}
-	m.Run()
-	if v := m.CheckInvariants(); len(v) != 0 {
-		return nil, fmt.Errorf("invariants: %v", v)
 	}
 
 	sink := m.Sink()

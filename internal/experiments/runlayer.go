@@ -1,11 +1,17 @@
 package experiments
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"os"
 	"time"
 
 	"vmp/internal/core"
 	"vmp/internal/obs"
+	"vmp/internal/scenario"
 	"vmp/internal/sim"
+	"vmp/internal/trace"
 )
 
 // engineTrack records every engine one experiment run constructs, so
@@ -170,4 +176,59 @@ func (o Options) machine(cfg core.Config) (*core.Machine, error) {
 // agree on it.
 func (o Options) newMachine(procs, cacheSize int) (*core.Machine, error) {
 	return o.machine(machineSpec(procs, cacheSize).Config())
+}
+
+// replay builds a machine from cfg through machine, replays streams[i]
+// on board i and checks invariants. Each stream is prefaulted and
+// attached in board order, so frames are allocated in the same order
+// on every run.
+func (o Options) replay(cfg core.Config, streams [][]trace.Ref) (*core.Machine, error) {
+	m, err := o.machine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for i, s := range streams {
+		if err := m.PrefaultTrace(s); err != nil {
+			return nil, err
+		}
+		m.RunTrace(i, trace.NewSliceSource(s))
+	}
+	m.Run()
+	if v := m.CheckInvariants(); len(v) != 0 {
+		return nil, fmt.Errorf("invariants: %v", v)
+	}
+	return m, nil
+}
+
+// run runs spec through the scenario layer as one of the experiment's
+// machines: at the experiment's seed, with the run-level fault plan
+// when the spec has none (as machine applies it only when the config
+// has none), with the watchdog's counters under Check, and with the
+// event stream kept when the tracker asks for it. It registers the
+// finished machine with the tracker, which reads a machine only when
+// the next one is added or the runner returns, so registering after
+// the run is equivalent. An invariant violation is an error.
+// scenario.RunGuarded contains a simulator fault and ends the
+// machine's processes; the fault's flight-recorder dump goes to
+// stderr, where a machine's sink writes it.
+func (o Options) run(spec scenario.Spec) (*core.Machine, error) {
+	spec.Seed = o.Seed
+	if spec.Faults == "" && o.Faults != nil && o.Faults.Enabled() {
+		spec.Faults = o.Faults.String()
+	}
+	spec.Check = spec.Check || o.Check
+	spec.Obs.Stream = spec.Obs.Stream || o.track != nil && o.track.stream
+	res, err := scenario.RunGuarded(context.Background(), spec)
+	var pe *scenario.PanicError
+	if errors.As(err, &pe) {
+		fmt.Fprint(os.Stderr, pe.Dump)
+	}
+	if err != nil {
+		return nil, err
+	}
+	o.track.add(res.Machine.Eng, res.Machine.Sink())
+	if len(res.Violations) != 0 {
+		return nil, fmt.Errorf("invariants: %v", res.Violations)
+	}
+	return res.Machine, nil
 }

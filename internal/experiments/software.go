@@ -5,7 +5,6 @@ import (
 
 	"vmp/internal/baseline"
 	"vmp/internal/cache"
-	"vmp/internal/core"
 	"vmp/internal/kernel"
 	"vmp/internal/sim"
 	"vmp/internal/stats"
@@ -157,32 +156,14 @@ func AblationPageContention(o Options) (*Result, error) {
 		"Scheme", "Page/Line", "Elapsed (µs)", "Bus KB", "Invalidations+Downgrades")
 
 	for _, ps := range g.IntAxis("machine.page_size") {
-		streams := workload.FalseSharing(procs, 0x40000, ps, rounds)
-		m, err := o.machine(core.Config{
-			Processors: procs,
-			Cache:      cache.Geometry(g.Base.Machine.CacheSize, ps, g.Base.Machine.Assoc),
-			MemorySize: g.Base.Machine.MemorySize,
-		})
+		ms := g.Base.Machine
+		ms.PageSize = ps
+		m, err := o.replay(ms.Config(), workload.FalseSharing(procs, 0x40000, ps, rounds))
 		if err != nil {
 			return nil, err
 		}
-		if err := m.EnsureSpace(1); err != nil {
-			return nil, err
-		}
-		for _, s := range streams {
-			if err := m.PrefaultTrace(s); err != nil {
-				return nil, err
-			}
-		}
-		for i, s := range streams {
-			m.RunTrace(i, trace.NewSliceSource(s))
-		}
-		end := m.Run()
-		if v := m.CheckInvariants(); len(v) != 0 {
-			return nil, fmt.Errorf("invariants: %v", v)
-		}
 		_, bs := m.TotalStats()
-		t.Add("VMP", ps, end.Micros(), float64(m.Bus.Stats().BytesMoved)/1024,
+		t.Add("VMP", ps, m.Eng.Now().Micros(), float64(m.Bus.Stats().BytesMoved)/1024,
 			bs.InvalidationsIn+bs.DowngradesIn)
 	}
 
