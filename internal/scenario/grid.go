@@ -131,15 +131,21 @@ func (g *Grid) Expand() ([]Cell, error) {
 
 // setPath walks the dotted path through nested JSON objects, creating
 // intermediate objects as needed, and sets the final key to the raw
-// value.
+// value, which keeps its literal digits.
 //
 //vmplint:allow canonjson doc comes from decodeExact, and Expand passes the result through ParseSpec
 func setPath(doc map[string]any, path string, raw json.RawMessage) error {
 	keys := strings.Split(path, ".")
 	cur := doc
 	for _, k := range keys[:len(keys)-1] {
-		next, ok := cur[k]
-		if !ok || next == nil {
+		next := cur[k]
+		if r, ok := next.(json.RawMessage); ok {
+			// An earlier axis set this object; decode it to descend.
+			if err := decodeExact(r, &next); err != nil {
+				return err
+			}
+		}
+		if next == nil {
 			//vmplint:allow canonjson a new object holds only the path's keys, and ParseSpec rejects one that names no field
 			child := map[string]any{}
 			cur[k] = child
@@ -151,23 +157,20 @@ func setPath(doc map[string]any, path string, raw json.RawMessage) error {
 		if !ok {
 			return fmt.Errorf("path element %q is not an object", k)
 		}
+		cur[k] = child
 		cur = child
 	}
-	var v any
-	if err := decodeExact(raw, &v); err != nil {
-		return fmt.Errorf("bad value %s: %w", raw, err)
+	if !json.Valid(raw) {
+		return fmt.Errorf("bad value %s", raw)
 	}
-	cur[keys[len(keys)-1]] = v
+	cur[keys[len(keys)-1]] = raw
 	return nil
 }
 
-// decodeExact decodes the one JSON value in data into v, keeping each
-// number as its literal (json.Number): a float64 would round integers
-// past 2^53, such as a seed, and fail to hold 2^64-1.
+// decodeExact decodes data into v, keeping each number as its literal
+// (json.Number): a float64 would round integers past 2^53, such as a
+// seed, and cannot hold 2^64-1.
 func decodeExact(data []byte, v any) error {
-	if !json.Valid(data) {
-		return fmt.Errorf("not one JSON value")
-	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.UseNumber()
 	return dec.Decode(v)

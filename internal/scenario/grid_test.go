@@ -97,23 +97,28 @@ func TestGridExactIntegers(t *testing.T) {
 
 // TestGridNestedPathCreation checks an axis can address a field whose
 // parent objects are absent from the base (kernel.sched.tasks with no
-// kernel in the base spec).
+// kernel in the base spec), or were set by an earlier axis.
 func TestGridNestedPathCreation(t *testing.T) {
-	g := &Grid{
-		Name: "sched",
-		Axes: []Axis{{Path: "kernel.sched.tasks", Values: Values(2, 4)}},
-	}
-	cells, err := g.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 2 {
-		t.Fatalf("expanded %d cells, want 2", len(cells))
-	}
-	for i, want := range []int{2, 4} {
-		k := cells[i].Spec.Kernel
-		if k == nil || k.Sched == nil || k.Sched.Tasks != want {
-			t.Errorf("cell %d kernel = %+v, want sched tasks %d", i, k, want)
+	tasks := Axis{Path: "kernel.sched.tasks", Values: Values(2, 4)}
+	for _, g := range []*Grid{
+		{Name: "sched", Axes: []Axis{tasks}},
+		{Name: "kernel", Axes: []Axis{{Path: "kernel", Values: Values(KernelSpec{UncachedPages: 3})}, tasks}},
+	} {
+		cells, err := g.Expand()
+		if err != nil {
+			t.Fatalf("%s: %v", g.Name, err)
+		}
+		if len(cells) != 2 {
+			t.Fatalf("%s: expanded %d cells, want 2", g.Name, len(cells))
+		}
+		for i, want := range []int{2, 4} {
+			k := cells[i].Spec.Kernel
+			if k == nil || k.Sched == nil || k.Sched.Tasks != want {
+				t.Errorf("%s: cell %d kernel = %+v, want sched tasks %d", g.Name, i, k, want)
+			}
+			if g.Name == "kernel" && k != nil && k.UncachedPages != 3 {
+				t.Errorf("%s: cell %d lost the kernel axis: %+v", g.Name, i, k)
+			}
 		}
 	}
 }
