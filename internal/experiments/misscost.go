@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"vmp/internal/cache"
-	"vmp/internal/core"
 	"vmp/internal/obs"
 )
 
@@ -29,12 +27,9 @@ func MissCost(o Options) (*Result, error) {
 		return nil, err
 	}
 	shareRefs(streams, o.Seed*77, 2, 8)
-	m, err := o.replay(core.Config{
-		Processors: procs,
-		Cache:      cache.Geometry(128<<10, 256, 4),
-		MemorySize: 8 << 20,
-		Obs:        &obs.Config{Stream: true},
-	}, streams)
+	cfg := machineSpec(procs, 128<<10).Config()
+	cfg.Obs = &obs.Config{Stream: true}
+	m, err := o.replay(cfg, streams)
 	if err != nil {
 		return nil, err
 	}
