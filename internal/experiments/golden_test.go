@@ -155,8 +155,9 @@ func experimentLines(t *testing.T, o Options, prefix string) []string {
 // event goldens run: the runner grids whose cells replay a workload,
 // and literal fixtures for four experiments whose runners read no grid
 // (fig5, asid, consistency and misscost). The fixtures' cells are not
-// the runs their experiments make; the asid cells are the only event
-// pin on the scenario path's kernel.sched wiring.
+// the runs their experiments make, except that fig5's is its run's spec
+// at the default seed; the asid cells are the only event pin on the
+// scenario path's kernel.sched wiring.
 func goldenGrids(o Options) []*scenario.Grid {
 	asid := editSpec(1, 60_000)
 	if o.Quick {
