@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"vmp/internal/fault"
+	"vmp/internal/sim"
 	"vmp/internal/stats"
 )
 
@@ -248,21 +249,28 @@ func Run(id string, o Options) (*Result, error) {
 // invoked.
 //
 // A simulator fault (a livelock's retry hard limit, a protocol
-// assertion) panics out of the runner. runOne returns it as the
-// experiment's error and ends the processes of the tracker's live
-// engine, the machine that faulted, so one faulty experiment neither
-// ends the process nor leaves coroutines behind.
+// assertion) panics out of a simulated process as a *sim.ProcessPanic.
+// runOne returns it, wrapped, as the experiment's error and ends the
+// processes of the tracker's live engine, the machine that faulted, so
+// one faulty experiment neither ends the process nor leaves coroutines
+// behind. Any other panic is a bug in the runner and is raised again.
 func runOne(e *Experiment, o Options, track *engineTrack) (res *Result, err error) {
 	ro := o
 	ro.Seed = seedFor(o.Seed, e.ID)
 	ro.track = track
 	defer func() {
-		if r := recover(); r != nil {
-			if track.live != nil {
-				track.live.KillProcesses()
-			}
-			res, err = nil, fmt.Errorf("%s: simulator fault: %v", e.ID, r)
+		r := recover()
+		if r == nil {
+			return
 		}
+		pp, ok := r.(*sim.ProcessPanic)
+		if !ok {
+			panic(r)
+		}
+		if track.live != nil {
+			track.live.KillProcesses()
+		}
+		res, err = nil, fmt.Errorf("%s: simulator fault: %w", e.ID, pp)
 	}()
 	start := time.Now()
 	if res, err = e.Run(ro); err != nil {

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"os"
 	"strings"
 	"testing"
 
 	"vmp/internal/fault"
+	"vmp/internal/sim"
 )
 
 func TestIDsAndDescribeAgree(t *testing.T) {
@@ -98,8 +100,9 @@ func TestExperimentsDeterministic(t *testing.T) {
 // becomes its experiment's error. At abort=0.02 the locks ablation's
 // two-board spin lock reaches the retry hard limit, the designed
 // livelock fault, which panics. runOne must name the experiment and
-// the livelock, end the faulted machine's processes, and leave the
-// flight recorder's dump on stderr, where the sink writes it.
+// the livelock, keep the faulting process's stack reachable, end the
+// faulted machine's processes, and leave the flight recorder's dump on
+// stderr, where the sink writes it.
 func TestRunOneContainsSimulatorFault(t *testing.T) {
 	o := DefaultOptions()
 	o.Quick = true
@@ -120,6 +123,10 @@ func TestRunOneContainsSimulatorFault(t *testing.T) {
 	if err == nil || !strings.HasPrefix(err.Error(), "locks: simulator fault: ") || !strings.Contains(err.Error(), "livelocked") {
 		t.Fatalf("runOne = %v, %v; want the locks livelock as an error", res, err)
 	}
+	var pp *sim.ProcessPanic
+	if !errors.As(err, &pp) || len(pp.Stack) == 0 {
+		t.Errorf("errors.As(%v) reaches no process stack", err)
+	}
 	if n := tr.live.Live(); n != 0 {
 		t.Errorf("%d processes of the faulted machine still live", n)
 	}
@@ -130,4 +137,18 @@ func TestRunOneContainsSimulatorFault(t *testing.T) {
 	if !strings.Contains(string(dump), "FLIGHT RECORDER DUMP: livelock") {
 		t.Errorf("no flight-recorder dump on stderr:\n%.500s", dump)
 	}
+}
+
+// TestRunOneRaisesRunnerBug checks that runOne contains only simulator
+// faults: a runner's own panic is raised again, so it prints its
+// trace.
+func TestRunOneRaisesRunnerBug(t *testing.T) {
+	e := &Experiment{ID: "bug", Run: func(Options) (*Result, error) { panic("runner bug") }}
+	defer func() {
+		if r := recover(); r != "runner bug" {
+			t.Errorf("recovered %v, want the runner's own panic", r)
+		}
+	}()
+	res, err := runOne(e, DefaultOptions(), &engineTrack{})
+	t.Errorf("runOne = %v, %v; want a panic", res, err)
 }

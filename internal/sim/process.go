@@ -63,6 +63,10 @@ func (pp *ProcessPanic) String() string {
 	return fmt.Sprintf("process %q panicked: %v", pp.Proc, pp.Value)
 }
 
+// Error is String, so a contained fault can be returned as an error
+// from which errors.As recovers the stack.
+func (pp *ProcessPanic) Error() string { return pp.String() }
+
 // killSentinel is the panic value a killed process's parked yield
 // raises to unwind its body; the coroutine swallows it.
 type killSentinel struct{}
