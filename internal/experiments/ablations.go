@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"vmp/internal/baseline"
 	"vmp/internal/bus"
@@ -305,7 +306,18 @@ func AblationReadPrivate(o Options) (*Result, error) {
 // traces, measuring per-processor performance and bus utilization —
 // the Section 5.3 question of how many processors one bus carries.
 func AblationScaling(o Options) (*Result, error) {
-	cells, err := scalingGrid(o).Expand()
+	// Processor counts, cache size and per-board trace length come from
+	// the experiment's grid.
+	g := scalingGrid(o)
+	counts := g.IntAxis("machine.processors")
+	// Each processor gets its own address space (independent jobs) and
+	// a private 16 MB slice of the kernel region (per-CPU kernel stacks
+	// and data — otherwise every CPU write-shares the same physical
+	// kernel frames, which is not the independent-workload question
+	// Section 5.3 asks). Board i's stream does not depend on the
+	// processor count and a machine only reads its streams, so the
+	// largest machine's streams serve every count.
+	streams, err := editStreams(o.Seed, slices.Max(counts), g.Base.Workload.Refs, 24)
 	if err != nil {
 		return nil, err
 	}
@@ -313,14 +325,13 @@ func AblationScaling(o Options) (*Result, error) {
 		"Processors", "Bus Utilization (%)", "Mean Performance", "Relative to 1 CPU")
 	var base float64
 	var xs, ys []float64
-	for _, c := range cells {
-		m, err := o.run(c.Spec)
+	for _, n := range counts {
+		m, err := o.replay(machineSpec(n, g.Base.Machine.CacheSize).Config(), streams[:n])
 		if err != nil {
 			return nil, err
 		}
-		n := len(m.Boards)
 		perf := 0.0
-		for i := range m.Boards {
+		for i := 0; i < n; i++ {
 			perf += m.Performance(i)
 		}
 		perf /= float64(n)

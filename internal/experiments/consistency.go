@@ -4,7 +4,6 @@ import (
 	"vmp/internal/sim"
 	"vmp/internal/stats"
 	"vmp/internal/trace"
-	"vmp/internal/workload"
 )
 
 // AblationConsistency quantifies Section 5.4's premise that "the effect
@@ -67,27 +66,6 @@ func AblationConsistency(o Options) (*Result, error) {
 // address spaces, so every processor reaches the same physical frames
 // (user addresses would be private to each ASID).
 const sharedBase = 0xd800_0000
-
-// editStreams generates n independent edit streams as a profile
-// workload's boards get theirs (seed + 31·i, ASID i+1), with board i's
-// kernel region moved up by i<<shift.
-func editStreams(seed uint64, n, refs int, shift uint) ([][]trace.Ref, error) {
-	streams := make([][]trace.Ref, n)
-	for i := range streams {
-		s, err := workload.Generate(workload.Edit, seed+uint64(i)*31, refs)
-		if err != nil {
-			return nil, err
-		}
-		for j := range s {
-			s[j].ASID = uint8(i + 1)
-			if s[j].VAddr >= workload.KernelCodeBase {
-				s[j].VAddr += uint32(i) << shift
-			}
-		}
-		streams[i] = s
-	}
-	return streams, nil
-}
 
 // shareRefs redirects about pct% of each stream's data references,
 // reads and writes alike, to random words of the first pages pages of

@@ -223,10 +223,14 @@ func Figure5(o Options) (*Result, error) {
 // measureTraceUtilization runs one trace-driven processor and returns
 // its measured bus utilization and fill-based miss ratio.
 func measureTraceUtilization(o Options) (util, missRatio float64, err error) {
-	m, err := o.run(editSpec(1, o.traceLen()))
+	streams, err := editStreams(o.Seed, 1, o.traceLen(), 24)
+	if err != nil {
+		return 0, 0, err
+	}
+	m, err := o.replay(machineSpec(1, 128<<10).Config(), streams)
 	if err != nil {
 		return 0, 0, err
 	}
 	fills := m.Boards[0].Cache.Stats().Fills
-	return m.Bus.Utilization(), float64(fills) / float64(o.traceLen()), nil
+	return m.Bus.Utilization(), float64(fills) / float64(len(streams[0])), nil
 }

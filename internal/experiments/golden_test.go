@@ -155,26 +155,31 @@ func experimentLines(t *testing.T, o Options, prefix string) []string {
 // event goldens run: the runner grids whose cells replay a workload,
 // and literal fixtures for four experiments whose runners read no grid
 // (fig5, asid, consistency and misscost). The fixtures' cells are not
-// the runs their experiments make, except that fig5's is its run's spec
-// at the default seed; the asid cells are the only event pin on the
-// scenario path's kernel.sched wiring.
+// the runs their experiments make; the asid cells are the only event
+// pin on the scenario path's kernel.sched wiring.
 func goldenGrids(o Options) []*scenario.Grid {
-	asid := editSpec(1, 60_000)
+	edit := func(procs, refs int) scenario.Spec {
+		return scenario.Spec{
+			Machine:  machineSpec(procs, 128<<10),
+			Workload: scenario.WorkloadSpec{Kind: scenario.WorkloadProfile, Profile: "edit", Refs: refs},
+		}
+	}
+	asid := edit(1, 60_000)
 	if o.Quick {
 		asid.Workload.Refs = 12_000
 	}
 	asid.Kernel = &scenario.KernelSpec{Sched: &scenario.SchedSpec{Tasks: 2}}
-	misscost := editSpec(4, o.traceLen())
+	misscost := edit(4, o.traceLen())
 	misscost.Obs.Stream = true
 	return []*scenario.Grid{
 		fig4Grid(o),
-		{Name: "fig5", Base: editSpec(1, o.traceLen())},
+		{Name: "fig5", Base: edit(1, o.traceLen())},
 		scalingGrid(o),
 		{Name: "asid", Base: asid, Axes: []scenario.Axis{
 			{Path: "kernel.sched.flush_on_switch", Values: scenario.Values(false, true)},
 		}},
 		assocGrid(o),
-		{Name: "consistency", Base: editSpec(4, o.traceLen())},
+		{Name: "consistency", Base: edit(4, o.traceLen())},
 		{Name: "misscost", Base: misscost},
 		topologyGrid(o),
 	}

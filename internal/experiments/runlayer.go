@@ -1,17 +1,14 @@
 package experiments
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"vmp/internal/core"
 	"vmp/internal/obs"
-	"vmp/internal/scenario"
 	"vmp/internal/sim"
 	"vmp/internal/trace"
+	"vmp/internal/workload"
 )
 
 // engineTrack records every engine one experiment run constructs, so
@@ -200,35 +197,26 @@ func (o Options) replay(cfg core.Config, streams [][]trace.Ref) (*core.Machine, 
 	return m, nil
 }
 
-// run runs spec through the scenario layer as one of the experiment's
-// machines: at the experiment's seed, with the run-level fault plan
-// when the spec has none (as machine applies it only when the config
-// has none), with the watchdog's counters under Check, and with the
-// event stream kept when the tracker asks for it. It registers the
-// finished machine with the tracker, which reads a machine only when
-// the next one is added or the runner returns, so registering after
-// the run is equivalent. An invariant violation is an error.
-// scenario.RunGuarded contains a simulator fault and ends the
-// machine's processes; the fault's flight-recorder dump goes to
-// stderr, where a machine's sink writes it.
-func (o Options) run(spec scenario.Spec) (*core.Machine, error) {
-	spec.Seed = o.Seed
-	if spec.Faults == "" && o.Faults != nil && o.Faults.Enabled() {
-		spec.Faults = o.Faults.String()
+// editStreams generates n independent edit streams as a profile
+// workload's boards get theirs (seed + 31·i, ASID i+1), with board i's
+// kernel region moved up by i<<shift: 24 for the scenario layer's
+// 16 MB slices, 21 for topology's 2 MB. The scenario layer keeps its
+// own copy of this convention (streamKey.stream) and exports no stream
+// API.
+func editStreams(seed uint64, n, refs int, shift uint) ([][]trace.Ref, error) {
+	streams := make([][]trace.Ref, n)
+	for i := range streams {
+		s, err := workload.Generate(workload.Edit, seed+uint64(i)*31, refs)
+		if err != nil {
+			return nil, err
+		}
+		for j := range s {
+			s[j].ASID = uint8(i + 1)
+			if s[j].VAddr >= workload.KernelCodeBase {
+				s[j].VAddr += uint32(i) << shift
+			}
+		}
+		streams[i] = s
 	}
-	spec.Check = spec.Check || o.Check
-	spec.Obs.Stream = spec.Obs.Stream || o.track != nil && o.track.stream
-	res, err := scenario.RunGuarded(context.Background(), spec)
-	var pe *scenario.PanicError
-	if errors.As(err, &pe) {
-		fmt.Fprint(os.Stderr, pe.Dump)
-	}
-	if err != nil {
-		return nil, err
-	}
-	o.track.add(res.Machine.Eng, res.Machine.Sink())
-	if len(res.Violations) != 0 {
-		return nil, fmt.Errorf("invariants: %v", res.Violations)
-	}
-	return res.Machine, nil
+	return streams, nil
 }

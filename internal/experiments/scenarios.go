@@ -9,10 +9,9 @@ import (
 // assoc, scaling, topology, pagecontention, fault-sweep and
 // protocol-compare (protocolcompare.go). Each runner takes its axis
 // values, and most of them the base machine shape and refs per board,
-// from its grid. Scaling runs its grid's cells through Options.run;
-// the others build their own machines through Options.machine. Either
-// way the machines run at seedFor(seed, id), and TestEventGoldens pins
-// their event order.
+// from its grid; it builds its own machines through Options.machine
+// and runs them at seedFor(seed, id). TestEventGoldens pins the event
+// order of those machines.
 
 // profileAxis lists the registered workload profiles as a grid axis.
 func profileAxis() []scenario.RawValue {
@@ -32,15 +31,6 @@ func machineSpec(procs, cacheSize int) scenario.MachineSpec {
 		PageSize:   256,
 		Assoc:      4,
 		MemorySize: 8 << 20,
-	}
-}
-
-// editSpec is procs boards of the standard machine with a 128 KB
-// cache, each replaying refs references of the edit profile.
-func editSpec(procs, refs int) scenario.Spec {
-	return scenario.Spec{
-		Machine:  machineSpec(procs, 128<<10),
-		Workload: scenario.WorkloadSpec{Kind: scenario.WorkloadProfile, Profile: "edit", Refs: refs},
 	}
 }
 
@@ -78,11 +68,7 @@ func assocGrid(o Options) *scenario.Grid {
 }
 
 // scalingGrid is the Section 5.3 scaling sweep: independent edit
-// traces on 1-8 processors sharing one bus. AblationScaling runs its
-// cells. Each board has its own address space and, since the workload
-// does not share the kernel, a private slice of the kernel region
-// (per-CPU kernel stacks and data): Section 5.3 asks about independent
-// jobs, not CPUs write-sharing the same physical kernel frames.
+// traces on 1-8 processors sharing one bus.
 func scalingGrid(o Options) *scenario.Grid {
 	counts := scenario.Values(1, 2, 3, 4, 5, 6, 8)
 	refsPer := 120_000
@@ -92,7 +78,10 @@ func scalingGrid(o Options) *scenario.Grid {
 	}
 	return &scenario.Grid{
 		Name: "scaling",
-		Base: editSpec(1, refsPer),
+		Base: scenario.Spec{
+			Machine:  machineSpec(1, 128<<10),
+			Workload: scenario.WorkloadSpec{Kind: scenario.WorkloadProfile, Profile: "edit", Refs: refsPer},
+		},
 		Axes: []scenario.Axis{
 			{Path: "machine.processors", Values: counts},
 		},
