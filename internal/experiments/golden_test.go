@@ -29,20 +29,20 @@ const eventGoldens = "testdata/event_goldens.txt"
 const goldenFaults = "abort=0.01,copy=0.05"
 
 // TestEventGoldens pins the event order of every cell of goldenGrids
-// (quick options), of every cell of the committed scenarios/*.json and
-// of every machine the registered experiments build at quick options,
-// each run with the full event stream retained. The experiments run
-// twice: as they are, and with goldenFaults and Check set, which pins
-// that the run-level fault plan reaches each machine at the
-// experiment's seed. A rewrite of the substrate (engine, interconnect)
-// must leave every line unchanged. livelock-demo.json is meant to
-// fail, so its error text is pinned instead. Run with -update to
-// rewrite the goldens.
+// (quick options) and recordsGrid, of every cell of the committed
+// scenarios/*.json and of every machine the registered experiments
+// build at quick options, each run with the full event stream
+// retained. The experiments run twice: as they are, and with
+// goldenFaults and Check set, which pins that the run-level fault plan
+// reaches each machine at the experiment's seed. A rewrite of the
+// substrate (engine, interconnect) must leave every line unchanged.
+// livelock-demo.json is meant to fail, so its error text is pinned
+// instead. Run with -update to rewrite the goldens.
 func TestEventGoldens(t *testing.T) {
 	o := DefaultOptions()
 	o.Quick = true
 	var cells []scenario.Cell
-	for _, g := range goldenGrids(o) {
+	for _, g := range append(goldenGrids(o), recordsGrid()) {
 		cs, err := g.Expand()
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
@@ -183,6 +183,25 @@ func goldenGrids(o Options) []*scenario.Grid {
 		{Name: "misscost", Base: misscost},
 		topologyGrid(o),
 	}
+}
+
+// recordsGrid is a fixture of the event goldens that is no
+// experiment's. It pins the board's frame-record paths that no
+// experiment takes under vmp3 and rlt, FlushCache (a scheduler that
+// flushes on every switch) and FIFO-overflow recovery (fifo=2), on
+// caches small enough that every board evicts, beside the fills,
+// upgrades, downgrades and releases of a shared kernel.
+func recordsGrid() *scenario.Grid {
+	base := scenario.Spec{
+		Machine:  machineSpec(4, 16<<10),
+		Workload: scenario.WorkloadSpec{Kind: scenario.WorkloadProfile, Profile: "edit", Refs: 12_000, ShareKernel: true},
+		Kernel:   &scenario.KernelSpec{Sched: &scenario.SchedSpec{Tasks: 2, FlushOnSwitch: true}},
+		Faults:   "fifo=2",
+		Check:    true,
+	}
+	return &scenario.Grid{Name: "records", Base: base, Axes: []scenario.Axis{
+		{Path: "protocol", Values: scenario.Values("vmp2", "vmp3", "rlt")},
+	}}
 }
 
 // scenarioFileCells expands a committed scenario file: a grid (it has
