@@ -70,6 +70,13 @@ type Board struct {
 	frames    map[uint32]*frameInfo // cache-page frame -> info
 	slotFrame []uint32              // cache slot -> frame it holds
 
+	// driven marks a board whose driver process (RunTrace, RunProgram)
+	// is live. While it lives, only it changes the tables (the final
+	// drain's processes run after every driver has ended), so no record
+	// is retired and reused while another process holds it across a
+	// bus yield.
+	driven bool
+
 	// intrSig wakes an idle CPU when the monitor posts a word.
 	intrSig sim.Signal
 	// onNotify, if set, is called from interrupt service for notify

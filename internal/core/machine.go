@@ -396,8 +396,23 @@ func (m *Machine) PrefaultTrace(refs []trace.Ref) error {
 func (m *Machine) RunTrace(boardID int, src trace.Source) {
 	c := &traceCPU{m: m, b: m.Boards[boardID], src: src, refTime: m.cfg.Timing.RefTime()}
 	c.tickFn = c.tick
+	m.attachDriver(c.b, c.run)
+}
+
+// attachDriver spawns body as the board's driver process. A board has
+// one driver at a time: attaching another while the last one's body
+// has not ended (or been killed) panics, since the board's tables
+// assume one process changes them (frameInfo).
+func (m *Machine) attachDriver(b *Board, body func(p *sim.Process)) {
+	if b.driven {
+		panic(fmt.Sprintf("core: board %d already has a driver", b.ID))
+	}
+	b.driven = true
 	m.activeDrivers++
-	m.Eng.Spawn(fmt.Sprintf("cpu%d", boardID), c.run)
+	m.Eng.Spawn(fmt.Sprintf("cpu%d", b.ID), func(p *sim.Process) {
+		defer func() { b.driven = false }()
+		body(p)
+	})
 }
 
 // traceCPU is a trace-driven processor. In VMP the cache hardware
@@ -476,8 +491,7 @@ func (c *traceCPU) tick() {
 // RunProgram attaches a program-driven CPU to a board (see CPU).
 func (m *Machine) RunProgram(boardID int, prog func(c *CPU)) {
 	b := m.Boards[boardID]
-	m.activeDrivers++
-	m.Eng.Spawn(fmt.Sprintf("cpu%d", boardID), func(p *sim.Process) {
+	m.attachDriver(b, func(p *sim.Process) {
 		prog(&CPU{p: p, b: b})
 		m.driverDone(boardID, p)
 		b.IdleLoop(p)
