@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"vmp/internal/bus"
 	"vmp/internal/cache"
@@ -654,6 +655,14 @@ func (b *Board) detachSlot(frame uint32, fi *frameInfo, slot cache.SlotID) {
 	}
 }
 
+// sortedFrames returns the frames the board holds records for, in
+// ascending order, so that walks over the table are deterministic.
+func (b *Board) sortedFrames() []uint32 {
+	frames := slices.AppendSeq(make([]uint32, 0, len(b.frames)), maps.Keys(b.frames))
+	slices.Sort(frames)
+	return frames
+}
+
 // invalidateFrame invalidates every cache slot holding frame, in slot
 // order, and detaches each, which deletes the frame record.
 func (b *Board) invalidateFrame(frame uint32, fi *frameInfo) {
@@ -995,13 +1004,7 @@ func (b *Board) recoverOverflow(p *sim.Process) {
 	b.stats.Recoveries++
 	b.Mon.ClearDropped()
 
-	framesSorted := make([]uint32, 0, len(b.frames))
-	for f := range b.frames {
-		framesSorted = append(framesSorted, f)
-	}
-	sort.Slice(framesSorted, func(i, j int) bool { return framesSorted[i] < framesSorted[j] })
-
-	for _, frame := range framesSorted {
+	for _, frame := range b.sortedFrames() {
 		fi := b.frames[frame]
 		if fi.state != psShared {
 			continue

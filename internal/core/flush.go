@@ -1,10 +1,7 @@
 package core
 
 import (
-	"sort"
-
 	"vmp/internal/bus"
-	"vmp/internal/cache"
 	"vmp/internal/monitor"
 	"vmp/internal/sim"
 )
@@ -16,12 +13,7 @@ import (
 // orderly shutdown. Costs are charged per page like the normal
 // eviction paths.
 func (b *Board) FlushCache(p *sim.Process) {
-	frames := make([]uint32, 0, len(b.frames))
-	for f := range b.frames {
-		frames = append(frames, f)
-	}
-	sort.Slice(frames, func(i, j int) bool { return frames[i] < frames[j] })
-	for _, frame := range frames {
+	for _, frame := range b.sortedFrames() {
 		fi := b.frames[frame]
 		if fi == nil {
 			continue
@@ -31,10 +23,7 @@ func (b *Board) FlushCache(p *sim.Process) {
 			b.releaseOwnership(p, frame, fi, false)
 			continue
 		}
-		for _, s := range append([]cache.SlotID(nil), fi.slots...) {
-			b.Cache.Invalidate(s)
-			b.detachSlot(frame, fi, s)
-		}
+		b.invalidateFrame(frame, fi)
 		b.m.Bus.Do(p, bus.Transaction{
 			Op: bus.WriteActionTable, PAddr: b.frameAddr(frame), Requester: b.ID,
 			Action: uint8(monitor.Ignore),

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"vmp/internal/bus"
 	"vmp/internal/cache"
@@ -316,12 +315,7 @@ func (v boardView) ForEachEntry(fn func(frame uint32, act monitor.Action)) {
 }
 
 func (v boardView) ForEachHeld(fn func(frame uint32, h check.Hold)) {
-	frames := make([]uint32, 0, len(v.b.frames))
-	for f := range v.b.frames {
-		frames = append(frames, f)
-	}
-	sort.Slice(frames, func(i, j int) bool { return frames[i] < frames[j] })
-	for _, f := range frames {
+	for _, f := range v.b.sortedFrames() {
 		fn(f, v.Hold(f))
 	}
 }
@@ -624,13 +618,8 @@ func (m *Machine) checkInvariants() []string {
 func (m *Machine) checkBoard(b *Board, quiescent bool) []string {
 	var out []string
 	// Every valid cache slot must be recorded under its frame.
-	slotSeen := make(map[cache.SlotID]uint32)
-	frames := make([]uint32, 0, len(b.frames))
-	for f := range b.frames {
-		frames = append(frames, f)
-	}
-	sort.Slice(frames, func(i, j int) bool { return frames[i] < frames[j] })
-	for _, f := range frames {
+	slotSeen := make([]bool, len(b.slotFrame))
+	for _, f := range b.sortedFrames() {
 		fi := b.frames[f]
 		if len(fi.slots) == 0 {
 			out = append(out, fmt.Sprintf("board %d: empty frame record %d", b.ID, f))
@@ -639,7 +628,7 @@ func (m *Machine) checkBoard(b *Board, quiescent bool) []string {
 			out = append(out, fmt.Sprintf("board %d: private frame %d with %d slots", b.ID, f, len(fi.slots)))
 		}
 		for _, s := range fi.slots {
-			slotSeen[s] = f
+			slotSeen[s] = true
 			st := b.Cache.SlotState(s)
 			if !st.Flags.Has(cache.Valid) {
 				out = append(out, fmt.Sprintf("board %d: frame %d lists invalid slot %d", b.ID, f, s))
@@ -663,7 +652,7 @@ func (m *Machine) checkBoard(b *Board, quiescent bool) []string {
 		}
 	}
 	b.Cache.ValidSlots(func(s cache.SlotID, _ cache.Slot) {
-		if _, ok := slotSeen[s]; !ok {
+		if !slotSeen[s] {
 			out = append(out, fmt.Sprintf("board %d: valid slot %d not in page map", b.ID, s))
 		}
 	})
