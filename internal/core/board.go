@@ -31,7 +31,10 @@ const (
 // frameInfo is the local-memory record for one physical frame the cache
 // holds: its consistency state and the cache slots holding copies
 // (several slots when virtual aliases or multiple ASIDs map the frame).
-// A private frame always has exactly one slot.
+// A private frame always has exactly one slot. Records are recycled:
+// detachSlot retires a record whose last slot goes, and missFill takes
+// a retired one before it allocates, so a warm board fills and evicts
+// without allocating, as the paper's fixed local-memory tables do.
 type frameInfo struct {
 	state pageState
 	slots []cache.SlotID
@@ -70,6 +73,7 @@ type Board struct {
 	// Local-memory software tables.
 	frames    map[uint32]*frameInfo // cache-page frame -> info
 	slotFrame []uint32              // cache slot -> frame it holds
+	retired   []*frameInfo          // records with no slots, for reuse
 
 	// driven marks a board whose driver process (RunTrace, RunProgram)
 	// is live. While it lives, only it changes the tables (the final
@@ -433,7 +437,7 @@ func (b *Board) missFill(p *sim.Process, asid uint8, vaddr uint32, acc cache.Acc
 	b.slotFrame[victim] = frame
 	fi := b.frames[frame]
 	if fi == nil {
-		fi = &frameInfo{}
+		fi = b.takeRecord()
 		b.frames[frame] = fi
 	}
 	fi.slots = append(fi.slots, victim)
@@ -642,7 +646,8 @@ func (b *Board) evict(p *sim.Process, victim cache.SlotID) {
 }
 
 // detachSlot removes a slot from a frame record, deleting the record
-// when no copies remain.
+// when no copies remain and retiring it for reuse, its slot list's
+// storage kept.
 func (b *Board) detachSlot(frame uint32, fi *frameInfo, slot cache.SlotID) {
 	for i, s := range fi.slots {
 		if s == slot {
@@ -652,7 +657,20 @@ func (b *Board) detachSlot(frame uint32, fi *frameInfo, slot cache.SlotID) {
 	}
 	if len(fi.slots) == 0 {
 		delete(b.frames, frame)
+		b.retired = append(b.retired, fi)
 	}
+}
+
+// takeRecord returns the record detachSlot retired last, or a new one
+// when none waits. Its slot list is empty; the caller sets its state.
+func (b *Board) takeRecord() *frameInfo {
+	n := len(b.retired)
+	if n == 0 {
+		return &frameInfo{}
+	}
+	fi := b.retired[n-1]
+	b.retired = b.retired[:n-1]
+	return fi
 }
 
 // sortedFrames returns the frames the board holds records for, in
