@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 )
 
@@ -207,7 +208,8 @@ func Values(vs ...any) []RawValue {
 
 // AxisValues returns the decoded values of the named axis, or nil when
 // the grid has no such axis — the helper experiments use to read their
-// sweep parameters from their own grid definition.
+// sweep parameters from their own grid definition. A number decodes
+// as its literal (json.Number), so no digit is lost.
 func (g *Grid) AxisValues(path string) []any {
 	for _, ax := range g.Axes {
 		if ax.Path != path {
@@ -215,20 +217,18 @@ func (g *Grid) AxisValues(path string) []any {
 		}
 		out := make([]any, len(ax.Values))
 		for i, raw := range ax.Values {
-			var v any
-			if err := json.Unmarshal(raw, &v); err != nil {
+			if err := decodeExact(raw, &out[i]); err != nil {
 				return nil
 			}
-			out[i] = v
 		}
 		return out
 	}
 	return nil
 }
 
-// IntAxis returns the named axis's values as ints (JSON numbers are
-// float64; exact integers convert losslessly). Nil when absent or not
-// numeric.
+// IntAxis returns the named axis's values as ints, each parsed exactly
+// from its literal. Nil when absent, or when a value is not an integer
+// or does not fit in an int.
 func (g *Grid) IntAxis(path string) []int {
 	vs := g.AxisValues(path)
 	if vs == nil {
@@ -236,11 +236,15 @@ func (g *Grid) IntAxis(path string) []int {
 	}
 	out := make([]int, len(vs))
 	for i, v := range vs {
-		f, ok := v.(float64)
-		if !ok || f != float64(int(f)) {
+		n, ok := v.(json.Number)
+		if !ok {
 			return nil
 		}
-		out[i] = int(f)
+		x, err := strconv.ParseInt(string(n), 10, strconv.IntSize)
+		if err != nil {
+			return nil
+		}
+		out[i] = int(x)
 	}
 	return out
 }

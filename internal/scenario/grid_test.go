@@ -152,6 +152,25 @@ func TestGridStringAxis(t *testing.T) {
 	}
 }
 
+// TestGridIntAxisExact: IntAxis parses each literal exactly, so an
+// integer past 2^53 keeps its last digit, and a value that does not
+// fit in an int is rejected rather than rounded.
+func TestGridIntAxisExact(t *testing.T) {
+	g := &Grid{Axes: []Axis{
+		{Path: "seed", Values: Values(uint64(1)<<53+1, 3)},
+		{Path: "huge", Values: Values(^uint64(0))},
+		{Path: "frac", Values: Values(2.5)},
+	}}
+	if got := g.IntAxis("seed"); !reflect.DeepEqual(got, []int{1<<53 + 1, 3}) {
+		t.Errorf("IntAxis(seed) = %v, want [%d 3]", got, 1<<53+1)
+	}
+	for _, path := range []string{"huge", "frac"} {
+		if got := g.IntAxis(path); got != nil {
+			t.Errorf("IntAxis(%s) = %v, want nil", path, got)
+		}
+	}
+}
+
 // TestGridNoAxes checks a grid with no axes is a single-cell sweep of
 // its base.
 func TestGridNoAxes(t *testing.T) {
