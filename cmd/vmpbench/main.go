@@ -51,6 +51,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -126,23 +127,22 @@ func main() {
 	} else {
 		results, err = experiments.RunAll(opts, *workers)
 	}
-	if err != nil {
-		var unknown *experiments.UnknownIDError
-		if errors.As(err, &unknown) {
-			fmt.Fprintf(os.Stderr, "vmpbench: unknown experiment id %q; valid ids:\n", unknown.ID)
-			for _, id := range unknown.Known {
-				fmt.Fprintln(os.Stderr, " ", id)
-			}
-			os.Exit(2)
+	var unknown *experiments.UnknownIDError
+	if errors.As(err, &unknown) {
+		fmt.Fprintf(os.Stderr, "vmpbench: unknown experiment id %q; valid ids:\n", unknown.ID)
+		for _, id := range unknown.Known {
+			fmt.Fprintln(os.Stderr, " ", id)
 		}
-		fmt.Fprintln(os.Stderr, "vmpbench:", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 
+	// A failed experiment has no result, but it hides none of the
+	// others: they are printed before its error.
+	results = slices.DeleteFunc(results, func(r *experiments.Result) bool { return r == nil })
 	switch {
 	case *jsonOut:
-		if err := emitJSON(results); err != nil {
-			fmt.Fprintln(os.Stderr, "vmpbench:", err)
+		if jerr := emitJSON(results); jerr != nil {
+			fmt.Fprintln(os.Stderr, "vmpbench:", jerr)
 			os.Exit(1)
 		}
 	case *mdOut:
@@ -155,6 +155,10 @@ func main() {
 			}
 		}
 		fmt.Printf("completed %d experiment(s) in %v\n", len(results), time.Since(start).Round(time.Millisecond))
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "vmpbench:", err)
+		os.Exit(1)
 	}
 }
 
