@@ -14,10 +14,10 @@
 //     judged on.
 //   - Micro: allocs/op and ns/op for the hot components (engine event
 //     queue, process handoff and spawn, block-copier transfer, bus
-//     transaction path, cache lookup, trace-driven hit, machine build,
-//     monitor check, store, telemetry), via testing.Benchmark so the op
-//     counts are calibrated the same way `go test -bench` calibrates
-//     them.
+//     transaction path, cache lookup, trace-driven hit and miss,
+//     machine build, monitor check, store, telemetry), via
+//     testing.Benchmark so the op counts are calibrated the same way
+//     `go test -bench` calibrates them.
 package perf
 
 import (
@@ -146,6 +146,7 @@ func Collect() (*Snapshot, error) {
 		{"interconnect/cross-link", benchInterconnectCross},
 		{"cache/lookup", benchCache},
 		{"core/trace-hit", benchTraceHit},
+		{"core/miss-path", benchMissPath},
 		{"core/new-machine", benchNewMachine},
 		{"monitor/check", benchMonitor},
 		{"serve/store-put", benchStorePut},
@@ -305,6 +306,38 @@ func benchTraceHit(b *testing.B) {
 	m.Eng.Run()
 	b.StopTimer()
 	m.Eng.KillProcesses() // the copier that filled the page
+}
+
+// benchMissPath measures one trace-driven reference that misses: the
+// miss handler fills its cache page and evicts a clean one, so one op
+// is one fill plus one eviction. The 1-board machine has a 16 KB cache
+// of 256 B pages, and the stream cycles over four times as many
+// prefaulted pages as the cache has slots, so every reference misses.
+// A first run over the stream warms the board, leaving the frame
+// records its evictions retire for the timed fills to reuse.
+func benchMissPath(b *testing.B) {
+	cfg := core.Config{Processors: 1, Cache: cache.Geometry(16<<10, 256, 4)}
+	m, err := core.NewMachine(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pages := 4 * cfg.Cache.Slots()
+	refs := make([]trace.Ref, pages+b.N)
+	for i := range refs {
+		va := workload.UserHeapBase + uint32(i%pages*256)
+		refs[i] = trace.Ref{Kind: trace.Read, ASID: 1, VAddr: va}
+	}
+	if err := m.PrefaultTrace(refs[:pages]); err != nil {
+		b.Fatal(err)
+	}
+	m.RunTrace(0, trace.NewSliceSource(refs[:pages]))
+	m.Eng.Run()
+	m.RunTrace(0, trace.NewSliceSource(refs[pages:]))
+	b.ReportAllocs()
+	b.ResetTimer()
+	m.Eng.Run()
+	b.StopTimer()
+	m.Eng.KillProcesses() // the board's copier
 }
 
 // benchNewMachine measures building the macro's machine (4 boards, 8
