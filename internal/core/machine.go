@@ -386,7 +386,8 @@ func (m *Machine) PrefaultTrace(refs []trace.Ref) error {
 // RunTrace attaches a trace-driven CPU to a board. Every reference
 // costs the average inter-reference CPU time plus any miss handling.
 // Protection faults are counted and skipped (a trace cannot respond to
-// them). The driver must be attached before Run.
+// them). The driver must be attached before Run, to a board whose last
+// driver has finished (attachDriver).
 func (m *Machine) RunTrace(boardID int, src trace.Source) {
 	c := &traceCPU{m: m, b: m.Boards[boardID], src: src, refTime: m.cfg.Timing.RefTime()}
 	c.tickFn = c.tick
@@ -482,7 +483,8 @@ func (c *traceCPU) tick() {
 	}
 }
 
-// RunProgram attaches a program-driven CPU to a board (see CPU).
+// RunProgram attaches a program-driven CPU to a board (see CPU), under
+// the same one-driver rule as RunTrace.
 func (m *Machine) RunProgram(boardID int, prog func(c *CPU)) {
 	b := m.Boards[boardID]
 	m.attachDriver(b, func(p *sim.Process) {
