@@ -14,19 +14,26 @@ import (
 	"vmp/internal/workload"
 )
 
-// serialTasks is the reference for boardTasks: each board's stream, one
-// board after another, then with tasksPer > 0 a copy of each consecutive
-// slice re-stamped with ASID 1 + board*tasksPer + task.
-func serialTasks(t *testing.T, s *Spec, boards, tasksPer int) [][]kernel.Task {
+// refTask is one task of the reference set-up: its ASID and its
+// references.
+type refTask struct {
+	asid uint8
+	refs []trace.Ref
+}
+
+// serialTasks is the reference for boardTasks, made one board after
+// another as set-up once made it: the board's whole stream as a slice
+// (workload.Generate, or the trace file's first refs references), the
+// ASID stamp and the kernel-region shift over that slice, and with
+// tasksPer > 0 a copy of each consecutive part re-stamped with ASID
+// 1 + board*tasksPer + task.
+func serialTasks(t *testing.T, s *Spec, tasksPer int) [][]refTask {
 	t.Helper()
-	all := make([][]kernel.Task, boards)
+	all := make([][]refTask, s.Machine.Processors)
 	for i := range all {
-		refs, err := keyOf(s, i).stream()
-		if err != nil {
-			t.Fatal(err)
-		}
+		refs := serialStream(t, s, i)
 		if tasksPer == 0 {
-			all[i] = []kernel.Task{{ASID: uint8(i + 1), Refs: refs}}
+			all[i] = []refTask{{asid: uint8(i + 1), refs: refs}}
 			continue
 		}
 		per := len(refs) / tasksPer
@@ -41,11 +48,54 @@ func serialTasks(t *testing.T, s *Spec, boards, tasksPer int) [][]kernel.Task {
 			for j := range part {
 				part[j].ASID = asid
 			}
-			all[i] = append(all[i], kernel.Task{ASID: asid, Refs: part})
+			all[i] = append(all[i], refTask{asid: asid, refs: part})
 		}
 	}
 	return all
 }
+
+// serialStream is board i's whole stream as a stamped slice: seed
+// seed+31*i, ASID i+1, and the kernel region moved up by i<<24 unless
+// the boards share it.
+func serialStream(t *testing.T, s *Spec, i int) []trace.Ref {
+	t.Helper()
+	w := s.Workload
+	var refs []trace.Ref
+	switch w.Kind {
+	case WorkloadProfile:
+		r, err := workload.Generate(workload.Profile(w.Profile), s.Seed+uint64(i)*31, w.Refs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs = r
+	case WorkloadTrace:
+		f, err := os.Open(w.TraceFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		br, err := trace.OpenBinary(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs = trace.Collect(br, w.Refs)
+		if err := br.Err(); err != nil {
+			t.Fatal(err)
+		}
+	default:
+		t.Fatalf("no reference stream for workload kind %q", w.Kind)
+	}
+	for j := range refs {
+		refs[j].ASID = uint8(i + 1)
+		if !w.ShareKernel && refs[j].VAddr >= workload.KernelCodeBase {
+			refs[j].VAddr += uint32(i) << 24
+		}
+	}
+	return refs
+}
+
+// taskRefs reads a task's references back.
+func taskRefs(task kernel.Task) []trace.Ref { return task.Refs }
 
 // writeTrace writes n references of the compile profile (seed 5) as a
 // binary trace file named name in a temporary directory and returns
@@ -71,9 +121,10 @@ func writeTrace(t *testing.T, name string, n int) string {
 }
 
 // TestBoardTasksMatchSerial checks that the concurrent set-up yields
-// the serial loop's streams, element by element: every profile with
-// the kernel region shared and sliced, the kernel scheduler's task
-// split, and a binary trace file.
+// the serial loop's streams, reference by reference: every profile
+// with the kernel region shared and sliced, the kernel scheduler's
+// task split, and a binary trace file, longer and shorter than the
+// spec's refs, with and without the split.
 func TestBoardTasksMatchSerial(t *testing.T) {
 	path := writeTrace(t, "compile.trc", 6000)
 
@@ -99,6 +150,20 @@ func TestBoardTasksMatchSerial(t *testing.T) {
 		Name:     "trace-file",
 		Machine:  MachineSpec{Processors: 4},
 		Workload: WorkloadSpec{Kind: WorkloadTrace, TraceFile: path, Refs: 5000},
+	}, Spec{
+		Name:     "trace-file-short",
+		Machine:  MachineSpec{Processors: 2},
+		Workload: WorkloadSpec{Kind: WorkloadTrace, TraceFile: path, Refs: 9000},
+	}, Spec{
+		Name:     "trace-file-sched",
+		Machine:  MachineSpec{Processors: 2},
+		Workload: WorkloadSpec{Kind: WorkloadTrace, TraceFile: path, Refs: 5001},
+		Kernel:   &KernelSpec{Sched: &SchedSpec{Tasks: 2}},
+	}, Spec{
+		Name:     "trace-file-short-sched",
+		Machine:  MachineSpec{Processors: 2},
+		Workload: WorkloadSpec{Kind: WorkloadTrace, TraceFile: path, Refs: 9000},
+		Kernel:   &KernelSpec{Sched: &SchedSpec{Tasks: 3}},
 	})
 
 	for _, s := range specs {
@@ -113,7 +178,7 @@ func TestBoardTasksMatchSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
-		want := serialTasks(t, &s, s.Machine.Processors, tasksPer)
+		want := serialTasks(t, &s, tasksPer)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d boards, want %d", s.Name, len(got), len(want))
 		}
@@ -123,13 +188,14 @@ func TestBoardTasksMatchSerial(t *testing.T) {
 			}
 			for k, w := range want[i] {
 				g := got[i][k]
-				if g.ASID != w.ASID || len(g.Refs) != len(w.Refs) {
+				refs := taskRefs(g)
+				if g.ASID != w.asid || len(refs) != len(w.refs) {
 					t.Fatalf("%s board %d task %d: ASID %d with %d refs, want ASID %d with %d",
-						s.Name, i, k, g.ASID, len(g.Refs), w.ASID, len(w.Refs))
+						s.Name, i, k, g.ASID, len(refs), w.asid, len(w.refs))
 				}
-				for j := range w.Refs {
-					if g.Refs[j] != w.Refs[j] {
-						t.Fatalf("%s board %d task %d ref %d: %v, want %v", s.Name, i, k, j, g.Refs[j], w.Refs[j])
+				for j := range w.refs {
+					if refs[j] != w.refs[j] {
+						t.Fatalf("%s board %d task %d ref %d: %v, want %v", s.Name, i, k, j, refs[j], w.refs[j])
 					}
 				}
 			}
@@ -147,7 +213,7 @@ func TestBoardTasksMissingTraceFile(t *testing.T) {
 	if err := s.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	_, want := keyOf(&s, 0).stream()
+	_, want := keyOf(&s, 0).tasks()
 	if _, err := newStreamTable([]Cell{{Spec: s}}).boardTasks(&s); err == nil || err.Error() != want.Error() {
 		t.Fatalf("boardTasks error %v, want board 0's %v", err, want)
 	}
