@@ -38,7 +38,7 @@ func main() {
 			if err := m.PrefaultTrace(refs); err != nil {
 				log.Fatal(err)
 			}
-			tasks = append(tasks, vmp.Task{ASID: asid, Refs: refs})
+			tasks = append(tasks, vmp.Task{ASID: asid, Refs: vmp.Pack(refs)})
 		}
 		var st vmp.SchedStats
 		k.Schedule(0, tasks, vmp.SchedPolicy{

@@ -103,7 +103,7 @@ func AblationASID(o Options) (*Result, error) {
 			if err := m.PrefaultTrace(refs); err != nil {
 				return 0, 0, 0, err
 			}
-			tasks = append(tasks, kernel.Task{ASID: asid, Refs: refs})
+			tasks = append(tasks, kernel.Task{ASID: asid, Refs: trace.Pack(refs)})
 		}
 		var st kernel.SchedStats
 		k.Schedule(0, tasks, kernel.SchedPolicy{

@@ -9,10 +9,10 @@ import (
 )
 
 // Task is one schedulable process: an address space and its reference
-// stream.
+// stream, packed (trace.Pack builds one from a slice).
 type Task struct {
 	ASID uint8
-	Refs []trace.Ref
+	Refs trace.Packed
 }
 
 // SchedPolicy tunes the round-robin scheduler.
@@ -43,10 +43,11 @@ type SchedStats struct {
 }
 
 // Schedule attaches a round-robin scheduler to a board, timeslicing the
-// tasks until all their reference streams drain. The per-task position
-// survives preemption; the cache keeps each task's pages under its ASID
-// tag, so (without FlushOnSwitch) a task resumes into a warm cache.
-// The stats callback, if non-nil, receives the final numbers.
+// tasks until all their reference streams drain. Each task has its own
+// reader, so its position survives preemption; the cache keeps each
+// task's pages under its ASID tag, so (without FlushOnSwitch) a task
+// resumes into a warm cache. The stats callback, if non-nil, receives
+// the final numbers.
 func (k *Kernel) Schedule(boardID int, tasks []Task, pol SchedPolicy, done func(SchedStats)) {
 	if pol.Quantum <= 0 {
 		pol.Quantum = DefaultSchedPolicy().Quantum
@@ -54,14 +55,17 @@ func (k *Kernel) Schedule(boardID int, tasks []Task, pol SchedPolicy, done func(
 	refTime := k.m.Config().Timing.RefTime()
 	k.m.RunProgram(boardID, func(c *core.CPU) {
 		var st SchedStats
-		pos := make([]int, len(tasks))
+		readers := make([]trace.PackedReader, len(tasks))
+		for i, t := range tasks {
+			readers[i] = t.Refs.Reader()
+		}
 		cur := -1
 		for {
 			// Pick the next runnable task.
 			next := -1
 			for off := 1; off <= len(tasks); off++ {
 				cand := (cur + off) % len(tasks)
-				if pos[cand] < len(tasks[cand].Refs) {
+				if !readers[cand].Done() {
 					next = cand
 					break
 				}
@@ -80,9 +84,9 @@ func (k *Kernel) Schedule(boardID int, tasks []Task, pol SchedPolicy, done func(
 			}
 			deadline := c.Now() + pol.Quantum
 			b := c.Board()
-			for pos[cur] < len(tasks[cur].Refs) && c.Now() < deadline {
-				r := tasks[cur].Refs[pos[cur]]
-				pos[cur]++
+			rd := &readers[cur]
+			for !rd.Done() && c.Now() < deadline {
+				r, _ := rd.Next()
 				st.Refs++
 				c.Process().Delay(refTime)
 				acc := cache.Access{Write: r.IsWrite(), Super: r.Super}

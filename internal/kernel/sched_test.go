@@ -5,6 +5,7 @@ import (
 
 	"vmp/internal/core"
 	"vmp/internal/sim"
+	"vmp/internal/trace"
 	"vmp/internal/vm"
 	"vmp/internal/workload"
 )
@@ -24,7 +25,7 @@ func schedTasks(t *testing.T, m *core.Machine, n int, refsEach int) []Task {
 		if err := m.PrefaultTrace(refs); err != nil {
 			t.Fatal(err)
 		}
-		tasks = append(tasks, Task{ASID: asid, Refs: refs})
+		tasks = append(tasks, Task{ASID: asid, Refs: trace.Pack(refs)})
 	}
 	return tasks
 }

@@ -10,7 +10,6 @@ import (
 	"vmp/internal/isa"
 	"vmp/internal/kernel"
 	"vmp/internal/sim"
-	"vmp/internal/trace"
 )
 
 // RunResult is the outcome of one scenario run: the normalized spec
@@ -237,11 +236,12 @@ func run(ctx context.Context, spec Spec, st *streamTable, dumpTo io.Writer, rs *
 }
 
 // attachTraces attaches a trace-driven CPU (or, with a scheduler spec,
-// a kernel round-robin scheduler over per-task slices) to every board,
-// all[i] being board i's tasks. It returns per-board scheduler stats
-// sinks when scheduling is on. Prefault and attach run serially in
-// board order, so frames are allocated in the same order whatever the
-// host's parallelism.
+// a kernel round-robin scheduler over the tasks) to every board, all[i]
+// being board i's tasks. It returns per-board scheduler stats sinks
+// when scheduling is on. Prefault and attach run serially in board
+// order, so frames are allocated in the same order whatever the host's
+// parallelism. Each task is read by a reader of its own for its
+// prefault, and by another for its run.
 func attachTraces(m *core.Machine, s *Spec, all [][]kernel.Task) ([]kernel.SchedStats, error) {
 	var k *kernel.Kernel
 	var pol kernel.SchedPolicy
@@ -265,7 +265,8 @@ func attachTraces(m *core.Machine, s *Spec, all [][]kernel.Task) ([]kernel.Sched
 	for i, tasks := range all {
 		for _, t := range tasks {
 			if !s.Workload.NoPrefault {
-				if err := m.PrefaultTrace(t.Refs); err != nil {
+				rd := t.Refs.Reader()
+				if err := m.PrefaultSource(&rd); err != nil {
 					return nil, err
 				}
 			} else if err := m.EnsureSpace(t.ASID); err != nil {
@@ -276,7 +277,8 @@ func attachTraces(m *core.Machine, s *Spec, all [][]kernel.Task) ([]kernel.Sched
 			k.Schedule(i, tasks, pol, func(st kernel.SchedStats) { stats[i] = st })
 			continue
 		}
-		m.RunTrace(i, trace.NewSliceSource(tasks[0].Refs))
+		rd := tasks[0].Refs.Reader()
+		m.RunTrace(i, &rd)
 	}
 	if tasksPer > 0 {
 		return stats, nil

@@ -302,7 +302,7 @@ func (s *Spec) Normalize() error {
 	}
 
 	// Without share_kernel, board i's kernel region moves up by i<<24
-	// (streamKey.stream); past maxPrivateKernelBoards boards the last
+	// (streamKey.pack); past maxPrivateKernelBoards boards the last
 	// kernel stack reaches the page-table space and the run faults.
 	const maxPrivateKernelBoards = int((vm.PTSpaceBase-workload.KernelStackTop)>>24) + 1
 	if !w.ShareKernel && w.traceDriven() && m.Processors > maxPrivateKernelBoards {

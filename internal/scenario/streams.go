@@ -13,9 +13,9 @@ import (
 
 // streamKey is everything a board's tasks are made from: the workload
 // fields below, the spec's seed, the board index and the scheduler's
-// task count. stream and tasks read nothing else, so a board's tasks
-// are a pure function of its key, and two cells that agree on a key
-// can share its tasks.
+// task count. tasks reads nothing else, so a board's tasks are a pure
+// function of its key, and two cells that agree on a key can share its
+// tasks.
 type streamKey struct {
 	kind, profile, traceFile string
 	refs                     int
@@ -33,18 +33,21 @@ func keyOf(s *Spec, i int) streamKey {
 	}
 }
 
-// stream materializes the key's reference stream: per-board seed
-// derivation (seed + 31*board, the vmpsim convention), per-board ASID,
-// and kernel-region slicing unless shareKernel.
-func (k streamKey) stream() ([]trace.Ref, error) {
-	var refs []trace.Ref
+// tasks packs the key's stream as one task on ASID board+1, or with
+// tasksPer > 0 as tasksPer consecutive tasks, each on ASID
+// 1+board*tasksPer+t so boards never share a user space. The stream is
+// the profile's generator on the per-board seed seed+31*board (the
+// vmpsim convention), or the trace file's first refs references.
+func (k streamKey) tasks() ([]kernel.Task, error) {
+	tasks := make([]kernel.Task, max(k.tasksPer, 1))
 	switch k.kind {
 	case WorkloadProfile:
-		r, err := workload.Generate(workload.Profile(k.profile), k.seed+uint64(k.board)*31, k.refs)
+		gen, err := workload.New(workload.Profile(k.profile), k.seed+uint64(k.board)*31)
 		if err != nil {
 			return nil, err
 		}
-		refs = r
+		k.pack(tasks, gen, k.refs)
+		return tasks, nil
 	case WorkloadTrace:
 		f, err := os.Open(k.traceFile)
 		if err != nil {
@@ -55,57 +58,70 @@ func (k streamKey) stream() ([]trace.Ref, error) {
 		if err != nil {
 			return nil, err
 		}
-		refs = trace.Collect(br, k.refs)
+		var src trace.Source = br
+		n := k.refs
+		if k.tasksPer > 0 {
+			// The split needs the stream's length, so the file is
+			// packed whole first.
+			whole := trace.NewPacked(n)
+			for whole.Len() < n {
+				r, ok := br.Next()
+				if !ok {
+					break
+				}
+				whole.Append(r)
+			}
+			rd := whole.Reader()
+			src, n = &rd, whole.Len()
+		}
+		k.pack(tasks, src, n)
 		if err := br.Err(); err != nil {
 			return nil, err
 		}
+		return tasks, nil
 	default:
 		return nil, fmt.Errorf("scenario: stream of workload kind %q", k.kind)
 	}
-	asid := uint8(k.board + 1)
-	for j := range refs {
-		refs[j].ASID = asid
-		if !k.shareKernel && refs[j].VAddr >= workload.KernelCodeBase {
-			refs[j].VAddr += uint32(k.board) << 24
-		}
-	}
-	return refs, nil
 }
 
-// tasks is the key's stream as one task on ASID board+1, or with
-// tasksPer > 0 split into tasksPer consecutive tasks, each re-stamped
-// with ASID 1+board*tasksPer+t so boards never share a user space.
-func (k streamKey) tasks() ([]kernel.Task, error) {
-	refs, err := k.stream()
-	if err != nil {
-		return nil, err
-	}
-	if k.tasksPer == 0 {
-		return []kernel.Task{{ASID: uint8(k.board + 1), Refs: refs}}, nil
-	}
-	tasks := make([]kernel.Task, k.tasksPer)
-	per := len(refs) / k.tasksPer
+// pack fills tasks with the first n references of src, in consecutive
+// parts of n/len(tasks), the last part taking the rest. Each reference
+// is stamped with its task's ASID, and unless shareKernel has its
+// kernel region moved up by board<<24, as it is packed.
+func (k streamKey) pack(tasks []kernel.Task, src trace.Source, n int) {
+	per := n / len(tasks)
 	for t := range tasks {
-		asid := uint8(1 + k.board*k.tasksPer + t)
-		lo, hi := t*per, (t+1)*per
-		if t == k.tasksPer-1 {
-			hi = len(refs)
+		asid := uint8(k.board + 1)
+		if k.tasksPer > 0 {
+			asid = uint8(1 + k.board*k.tasksPer + t)
 		}
-		part := refs[lo:hi]
-		for j := range part {
-			part[j].ASID = asid
+		m := per
+		if t == len(tasks)-1 {
+			m = n - t*per
 		}
-		tasks[t] = kernel.Task{ASID: asid, Refs: part}
+		p := trace.NewPacked(m)
+		for p.Len() < m {
+			r, ok := src.Next()
+			if !ok {
+				break
+			}
+			r.ASID = asid
+			if !k.shareKernel && r.VAddr >= workload.KernelCodeBase {
+				r.VAddr += uint32(k.board) << 24
+			}
+			p.Append(r)
+		}
+		tasks[t] = kernel.Task{ASID: asid, Refs: p}
 	}
-	return tasks, nil
 }
 
 // streamTable holds the boards' tasks for the cells of one RunCells
 // call (a single run is a call of one cell), so that each distinct key
 // is generated once and every cell that needs it shares it. Sharing
 // needs no copy: the stamp, the shift and the split are part of the
-// key's tasks, and a machine only reads them (PrefaultTrace, the trace
-// CPU's slice source and the kernel scheduler).
+// key's packed tasks, and a machine only reads them, each through a
+// reader of its own (PrefaultSource, the trace CPU and the kernel
+// scheduler).
 //
 // newStreamTable counts each key's users before any cell runs, and an
 // entry leaves the table when its last user takes it, so a sweep holds

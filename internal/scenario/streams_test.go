@@ -95,7 +95,10 @@ func serialStream(t *testing.T, s *Spec, i int) []trace.Ref {
 }
 
 // taskRefs reads a task's references back.
-func taskRefs(task kernel.Task) []trace.Ref { return task.Refs }
+func taskRefs(task kernel.Task) []trace.Ref {
+	rd := task.Refs.Reader()
+	return trace.Collect(&rd, 0)
+}
 
 // writeTrace writes n references of the compile profile (seed 5) as a
 // binary trace file named name in a temporary directory and returns

@@ -73,6 +73,10 @@ type Ref = trace.Ref
 // Source streams references.
 type Source = trace.Source
 
+// Packed is a reference stream stored at 4 bytes per reference, the
+// form a scheduler Task holds.
+type Packed = trace.Packed
+
 // Time is simulated time in nanoseconds.
 type Time = sim.Time
 
@@ -114,3 +118,6 @@ func TraceProfiles() []string {
 
 // SliceSource wraps a slice of references as a Source.
 func SliceSource(refs []Ref) Source { return trace.NewSliceSource(refs) }
+
+// Pack packs a slice of references, as a scheduler Task takes them.
+func Pack(refs []Ref) Packed { return trace.Pack(refs) }

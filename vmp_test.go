@@ -158,7 +158,7 @@ func TestFacadeKernelScheduler(t *testing.T) {
 	refs, _ := vmp.GenerateTrace("edit", 1, 5000)
 	m.PrefaultTrace(refs)
 	var st vmp.SchedStats
-	k.Schedule(0, []vmp.Task{{ASID: 1, Refs: refs}}, vmp.SchedPolicy{Quantum: vmp.Millisecond},
+	k.Schedule(0, []vmp.Task{{ASID: 1, Refs: vmp.Pack(refs)}}, vmp.SchedPolicy{Quantum: vmp.Millisecond},
 		func(s vmp.SchedStats) { st = s })
 	m.Run()
 	if st.Refs != 5000 {
