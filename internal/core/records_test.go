@@ -105,16 +105,13 @@ func TestRecordsRecycled(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// idle spins to the instant until, servicing interrupt
-			// words; CPU.Idle would schedule a timeout closure.
+			// idle waits to the instant until, servicing interrupt
+			// words.
 			idle := func(c *CPU, until sim.Time) {
 				if c.Now() > until {
 					t.Errorf("board %d overran its half cycle: at %v, due by %v", c.Board().ID, c.Now(), until)
 				}
-				for c.Now() < until {
-					c.Process().Delay(min(2*sim.Microsecond, until-c.Now()))
-					c.ServiceInterrupts()
-				}
+				c.Idle(until - c.Now())
 			}
 			m.RunProgram(0, func(c *CPU) {
 				c.SetASID(1)
@@ -177,5 +174,36 @@ func TestRecordsRecycled(t *testing.T) {
 				t.Errorf("invariant violations: %v", v)
 			}
 		})
+	}
+}
+
+// TestIdleAllocatesNothing: a processor idling in a loop allocates
+// nothing once warm. Each Idle waits on the board's interrupt signal
+// with a timeout, and the process reuses its timeout records.
+func TestIdleAllocatesNothing(t *testing.T) {
+	const period = 10 * sim.Microsecond
+	m := newTestMachine(t, 1)
+	m.RunProgram(0, func(c *CPU) {
+		for {
+			c.Idle(period)
+		}
+	})
+	deadline := sim.Time(0)
+	idle := func() {
+		deadline += period
+		m.Eng.RunUntil(deadline)
+	}
+	idle()
+	before := m.Eng.Metrics().EventsFired
+	allocs := testing.AllocsPerRun(100, idle)
+	fired := m.Eng.Metrics().EventsFired - before
+	m.Eng.KillProcesses()
+	if allocs != 0 {
+		t.Errorf("%v allocations per Idle, want 0", allocs)
+	}
+	// AllocsPerRun makes one more call than runs; each Idle fires its
+	// timeout and the wake.
+	if want := uint64(2 * 101); fired != want {
+		t.Errorf("%d events in 101 idle periods, want %d", fired, want)
 	}
 }

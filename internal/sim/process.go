@@ -42,6 +42,8 @@ type Process struct {
 	// stepFn is the step method value, bound once so the Delay/Wake hot
 	// path does not allocate a fresh closure per call.
 	stepFn func()
+	// timeouts is the free list of the process's WaitTimeout records.
+	timeouts *timeout
 }
 
 // ProcessPanic is the value Run re-panics with when a process body
@@ -244,26 +246,64 @@ func (s *Signal) Broadcast() {
 // WaitTimeout waits on the signal for at most d, reporting whether the
 // signal (true) or the timeout (false) woke the process. The timeout
 // wake removes the process from the waiter list, so a later Broadcast
-// does not touch it.
+// does not touch it. The wait takes a timeout record from the
+// process's free list, so a process that waits over and over does not
+// allocate.
 func (s *Signal) WaitTimeout(p *Process, d Time) bool {
-	done := false
-	signalled := true
-	p.eng.Schedule(d, func() {
-		if done {
+	t := p.timeouts
+	if t == nil {
+		t = &timeout{p: p}
+		t.fireFn = t.fire
+	} else {
+		p.timeouts = t.next
+	}
+	t.s, t.waiting, t.queued, t.signalled = s, true, true, true
+	p.eng.Schedule(d, t.fireFn)
+	s.Wait(p)
+	t.waiting = false
+	signalled := t.signalled
+	if !t.queued {
+		t.free()
+	}
+	return signalled
+}
+
+// timeout is one WaitTimeout's record: the wait it ends and its timeout
+// event's callback, bound once. A record returns to its process's free
+// list only once its event has fired and its wait is over: a record
+// whose event is still queued (the signal came first) is not reused,
+// since that event would end a later wait.
+type timeout struct {
+	p      *Process
+	s      *Signal
+	fireFn func()
+	next   *timeout // on the process's free list
+	// waiting is true until the wait returns, queued until the event
+	// fires.
+	waiting, queued bool
+	signalled       bool
+}
+
+// fire is the timeout event: it ends the wait unless the signal did.
+func (t *timeout) fire() {
+	t.queued = false
+	if !t.waiting {
+		t.free()
+		return
+	}
+	for i, w := range t.s.waiters {
+		if w == t.p {
+			t.s.waiters = slices.Delete(t.s.waiters, i, i+1)
+			t.signalled = false
+			t.p.Wake()
 			return
 		}
-		for i, w := range s.waiters {
-			if w == p {
-				s.waiters = slices.Delete(s.waiters, i, i+1)
-				signalled = false
-				p.Wake()
-				return
-			}
-		}
-	})
-	s.Wait(p)
-	done = true
-	return signalled
+	}
+}
+
+func (t *timeout) free() {
+	t.next = t.p.timeouts
+	t.p.timeouts = t
 }
 
 // Pulse wakes the longest-waiting process, if any, and reports whether
