@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -151,16 +152,17 @@ func parseTextLine(text string) (Ref, error) {
 	default:
 		return Ref{}, fmt.Errorf("bad mode %q", fields[1])
 	}
-	var asid int
-	if _, err := fmt.Sscanf(fields[2], "%d", &asid); err != nil || asid < 0 || asid > 255 {
+	asid, err := strconv.ParseUint(fields[2], 10, 8)
+	if err != nil {
 		return Ref{}, fmt.Errorf("bad asid %q", fields[2])
 	}
 	r.ASID = uint8(asid)
-	var addr uint32
-	if _, err := fmt.Sscanf(fields[3], "0x%x", &addr); err != nil {
+	hex, ok := strings.CutPrefix(fields[3], "0x")
+	addr, err := strconv.ParseUint(hex, 16, 32)
+	if !ok || err != nil {
 		return Ref{}, fmt.Errorf("bad address %q", fields[3])
 	}
-	r.VAddr = addr
+	r.VAddr = uint32(addr)
 	return r, nil
 }
 

@@ -175,6 +175,12 @@ func TestParseTextErrors(t *testing.T) {
 		"I u 999 0x0",
 		"I u 1 zz",
 		"I u 1",
+		"R u 3abc 0x10",
+		"R u 3 0x10zz",
+		"R u -0 0x10",
+		"R u 3 10",
+		"R u 3 0x",
+		"R u 3 0x100000000",
 	}
 	for _, line := range bad {
 		if _, err := ParseText(strings.NewReader(line)); err == nil {
