@@ -357,12 +357,12 @@ func (m *Machine) Prefault(asid uint8, vaddrs []uint32) error {
 
 // PrefaultTrace maps every page a trace touches, in first-touch order.
 func (m *Machine) PrefaultTrace(refs []trace.Ref) error {
-	ft := m.newFirstTouch()
+	ft := newFirstTouch()
 	for _, r := range refs {
-		if ft.recent(r) {
+		if !ft.first(r) {
 			continue
 		}
-		if err := ft.touch(r); err != nil {
+		if err := m.Prefault(r.ASID, []uint32{r.VAddr}); err != nil {
 			return err
 		}
 	}
@@ -372,59 +372,48 @@ func (m *Machine) PrefaultTrace(refs []trace.Ref) error {
 // PrefaultSource is PrefaultTrace over a stream, which it drains: a
 // packed task is prefaulted through a reader of its own.
 func (m *Machine) PrefaultSource(src trace.Source) error {
-	ft := m.newFirstTouch()
+	ft := newFirstTouch()
 	for r, ok := src.Next(); ok; r, ok = src.Next() {
-		if ft.recent(r) {
+		if !ft.first(r) {
 			continue
 		}
-		if err := ft.touch(r); err != nil {
+		if err := m.Prefault(r.ASID, []uint32{r.VAddr}); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// firstTouch prefaults the pages of a trace in the order it first
-// touches them.
+// firstTouch finds the references of a trace that touch a page first.
 type firstTouch struct {
-	m    *Machine
 	seen map[uint64]bool
-	// last holds page keys already seen, indexed by their low bits, so
+	// recent holds page keys already seen, indexed by their low bits, so
 	// that most references skip the map lookup. ^0 is no page key (an
 	// ASID has 8 bits).
-	last [64]uint64
+	recent [64]uint64
 }
 
-func (m *Machine) newFirstTouch() *firstTouch {
-	ft := &firstTouch{m: m, seen: make(map[uint64]bool)}
-	for i := range ft.last {
-		ft.last[i] = ^uint64(0)
+func newFirstTouch() *firstTouch {
+	ft := &firstTouch{seen: make(map[uint64]bool)}
+	for i := range ft.recent {
+		ft.recent[i] = ^uint64(0)
 	}
 	return ft
 }
 
-func pageKey(r trace.Ref) uint64 { return uint64(r.ASID)<<32 | uint64(r.VAddr/vm.PageSize) }
-
-// recent reports whether r's page is the last one seen in its slot,
-// and makes it so.
-func (ft *firstTouch) recent(r trace.Ref) bool {
-	key := pageKey(r)
-	slot := &ft.last[key%uint64(len(ft.last))]
+// first reports whether r is the first reference to its page.
+func (ft *firstTouch) first(r trace.Ref) bool {
+	key := uint64(r.ASID)<<32 | uint64(r.VAddr/vm.PageSize)
+	slot := &ft.recent[key%uint64(len(ft.recent))]
 	if *slot == key {
-		return true
+		return false
 	}
 	*slot = key
-	return false
-}
-
-// touch prefaults r's page if no earlier reference touched it.
-func (ft *firstTouch) touch(r trace.Ref) error {
-	key := pageKey(r)
 	if ft.seen[key] {
-		return nil
+		return false
 	}
 	ft.seen[key] = true
-	return ft.m.Prefault(r.ASID, []uint32{r.VAddr})
+	return true
 }
 
 // RunTrace attaches a trace-driven CPU to a board. Every reference
