@@ -15,9 +15,9 @@
 //   - Micro: allocs/op and ns/op for the hot components (engine event
 //     queue, process handoff and spawn, block-copier transfer, bus
 //     transaction path, cache lookup, trace-driven hit and miss,
-//     machine build, monitor check, store, telemetry), via
-//     testing.Benchmark so the op counts are calibrated the same way
-//     `go test -bench` calibrates them.
+//     machine build, monitor check, packed streams, store, telemetry),
+//     via testing.Benchmark so the op counts are calibrated the same
+//     way `go test -bench` calibrates them.
 package perf
 
 import (
@@ -149,6 +149,8 @@ func Collect() (*Snapshot, error) {
 		{"core/miss-path", benchMissPath},
 		{"core/new-machine", benchNewMachine},
 		{"monitor/check", benchMonitor},
+		{"trace/pack", benchPack},
+		{"trace/packed-next", benchPackedNext},
 		{"serve/store-put", benchStorePut},
 		{"serve/store-get", benchStoreGet},
 		{"telemetry/counter-add", benchTelemetryCounter},
@@ -338,6 +340,51 @@ func benchMissPath(b *testing.B) {
 	m.Eng.Run()
 	b.StopTimer()
 	m.Eng.KillProcesses() // the board's copier
+}
+
+// packRefs is the 4,096-reference edit stream the trace micros pack
+// and read.
+func packRefs(b *testing.B) []trace.Ref {
+	refs, err := workload.Generate(workload.Edit, 7, 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return refs
+}
+
+// benchPack measures packing a prebuilt reference slice, as set-up
+// packs each board's stream. Its bytes/op is what the packed form
+// stores: about 4 bytes per reference, where a []trace.Ref takes 8.
+func benchPack(b *testing.B) {
+	refs := packRefs(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		packSink = trace.Pack(refs)
+	}
+}
+
+// packSink and refSink keep the trace micros' results live.
+var (
+	packSink trace.Packed
+	refSink  trace.Ref
+)
+
+// benchPackedNext measures reading one reference of a packed stream,
+// as the trace CPU and the kernel scheduler read each reference. It
+// starts a new reader at the end of the stream, and stays zero-alloc.
+func benchPackedNext(b *testing.B) {
+	p := trace.Pack(packRefs(b))
+	rd := p.Reader()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, ok := rd.Next()
+		if !ok {
+			rd = p.Reader()
+		}
+		refSink = r
+	}
 }
 
 // benchNewMachine measures building the macro's machine (4 boards, 8
