@@ -393,8 +393,8 @@ type firstTouch struct {
 	recent [64]uint64
 }
 
-func newFirstTouch() *firstTouch {
-	ft := &firstTouch{seen: make(map[uint64]bool)}
+func newFirstTouch() firstTouch {
+	ft := firstTouch{seen: make(map[uint64]bool)}
 	for i := range ft.recent {
 		ft.recent[i] = ^uint64(0)
 	}
