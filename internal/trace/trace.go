@@ -8,7 +8,8 @@
 // references and a small degree of multiprogramming).
 //
 // Traces can be streamed from generators (package workload), from memory
-// (SliceSource), or from files in a compact binary format or a readable
+// (SliceSource, or a PackedReader over a stream stored at 4 bytes per
+// reference), or from files in a compact binary format or a readable
 // text format.
 package trace
 
